@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Sequence
 
-from .core import Demand, EdgeViolation, gamma, verify_solution
+from .core import Demand, EdgeViolation, PebblingError, gamma, verify_solution
 from .formats import (
     FormatError,
     Instance,
@@ -37,7 +37,7 @@ from .formats import (
     write_certificate,
     write_instance,
 )
-from .numbers import ZeroDemand, cover_pebbling_number, pebbling_number
+from .numbers import cover_pebbling_number, pebbling_number
 from .reductions import (
     ReducedInstance,
     reduce_cover_to_canonical,
@@ -68,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search node cap (default 10^7)",
     )
     common.add_argument("--json", action="store_true", help="machine-readable report")
-    common.add_argument(
-        "--seed", type=int, default=None, metavar="N", help="seed for randomized runs"
-    )
 
     parser = argparse.ArgumentParser(
         prog="pebbling", description="Exact graph pebbling engine."
@@ -351,8 +348,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, ZeroDemand, KeyError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PebblingError, ValueError, KeyError, FileNotFoundError) as exc:
+        # every other refusal is about the input: never exit 1, "unsolvable"
+        message = " ".join(str(exc).split())
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

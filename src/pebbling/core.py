@@ -30,7 +30,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .solver import SearchPlan
 
 
 class PebblingError(Exception):
@@ -51,10 +54,12 @@ class Graph:
     Vertices are identified by index; external names are resolved to indices
     at the I/O boundary.  All-pairs distances are computed once by BFS at
     construction, so distance queries are table lookups.  Instances are
-    immutable after construction and safe to share across threads.
+    immutable after construction and safe to share across threads; the two
+    lazily filled caches (directed edges, and the solver's search plan kept
+    by :func:`pebbling.solver.search_plan`) only ever receive equal values.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_dist", "_directed")
+    __slots__ = ("n", "edges", "_adj", "_dist", "_directed", "_plan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -75,6 +80,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._dist = tuple(self._bfs(v) for v in range(n))
         self._directed: tuple[tuple[int, int], ...] | None = None
+        self._plan: SearchPlan | None = None
 
     def _bfs(self, source: int) -> tuple[int, ...]:
         dist = [-1] * self.n

@@ -12,8 +12,9 @@ Configurations of each size are enumerated in colexicographic order, so the
 reported extremal configuration is deterministic: the colex-least failure
 at size value - 1.  Solvability of a configuration is first attempted by
 dominance (dropping any single pebble into a known-solvable configuration
-of the previous size); only dominance misses go to the exact solver, with
-results memoized per (configuration, demand).
+of the previous size); only dominance misses go to the exact solver.  Each
+configuration is visited once per size, so solver verdicts are not cached;
+the graph-only tables of the solver are built once per graph.
 
 This is desk-scale machinery: the number of compositions of k into n parts
 grows fast, so expect |V| up to about 8 and values up to a few dozen.
@@ -48,13 +49,28 @@ class NumberResult:
 
 
 def compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to split ``total`` over ``parts`` slots, colex ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in compositions_colex(total - last, parts - 1):
-            yield head + (last,)
+    """All ways to split ``total`` over ``parts`` slots, colex ascending.
+
+    Colex order compares the last slot first.  The successor of a
+    composition whose first non-zero slot is ``i < parts - 1`` moves one
+    unit from slot ``i`` to slot ``i + 1`` and the rest of slot ``i`` back to
+    slot 0; the composition with everything in the last slot is final.
+    """
+    if parts < 1:
+        raise ValueError("need at least one part")
+    last = parts - 1
+    a = [0] * parts
+    a[0] = total
+    i = 0 if total else last  # first non-zero slot; the zero split is alone
+    while True:
+        yield tuple(a)
+        if i == last:
+            return
+        x = a[i]
+        a[i] = 0
+        a[i + 1] += 1
+        a[0] = x - 1
+        i = 0 if x > 1 else i + 1
 
 
 def stacking_lower_bound(g: Graph, d: Demand) -> int:
@@ -83,8 +99,9 @@ def _sweep(
 ) -> NumberResult:
     """Shared size sweep: find the least k with no failing configuration.
 
-    ``solvable_for(counts, size)`` decides one configuration; it is expected
-    to exploit its own memoization.  ``start`` > 1 trusts the caller that
+    ``solvable_for(counts, size)`` decides one configuration; sizes arrive
+    in ascending runs, so it can settle a configuration by dominance over
+    the previous size.  ``start`` > 1 trusts the caller that
     sizes below start - 1 all fail; if start - 1 unexpectedly has no failing
     configuration the sweep restarts from 1, preserving exactness.
     """
@@ -146,7 +163,6 @@ def cover_pebbling_number(
     solvable_prev: set[tuple[int, ...]] = set()
     solvable_cur: set[tuple[int, ...]] = set()
     cur_size = -1
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
 
     def solvable_for(counts: tuple[int, ...], size: int) -> bool:
         nonlocal solvable_prev, solvable_cur, cur_size
@@ -162,13 +178,9 @@ def cover_pebbling_number(
                 ok = True
                 break
         if ok is None:
-            key = (counts, d.counts)
-            ok = memo.get(key)
-            if ok is None:
-                ok = is_cover_solvable(
-                    g, Configuration(counts), d, node_cap=node_cap
-                ).solvable
-                memo[key] = ok
+            ok = is_cover_solvable(
+                g, Configuration(counts), d, node_cap=node_cap
+            ).solvable
         if ok:
             solvable_cur.add(counts)
         return ok
@@ -218,7 +230,6 @@ def pebbling_number(
     solvable_prev: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
     solvable_cur: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
     cur_size = -1
-    memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def canonical_for(counts: tuple[int, ...], size: int) -> bool:
         nonlocal solvable_prev, solvable_cur, cur_size
@@ -237,13 +248,9 @@ def pebbling_number(
                     ok = True
                     break
             if ok is None:
-                key = (counts, v)
-                ok = memo.get(key)
-                if ok is None:
-                    ok = is_cover_solvable(
-                        g, Configuration(counts), demands[v], node_cap=node_cap
-                    ).solvable
-                    memo[key] = ok
+                ok = is_cover_solvable(
+                    g, Configuration(counts), demands[v], node_cap=node_cap
+                ).solvable
             if ok:
                 solvable_cur[v].add(counts)
             else:

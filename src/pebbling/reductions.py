@@ -151,7 +151,15 @@ def reduce_to_cover_solvability(inst: X4CInstance) -> ReducedInstance:
     0 on T and w.  For m = n the path degenerates and w is identified with
     v, whose load becomes 2; that keeps the equivalence at the boundary
     (the collector then only has to end with a pebble on itself).
+
+    An element in no set would leave its T vertex isolated, so such an
+    instance is refused with :class:`MalformedInstance`.
     """
+    uncovered = sorted(inst.universe.difference(*inst.sets))
+    if uncovered:
+        raise MalformedInstance(
+            f"elements {', '.join(map(str, uncovered))} lie in no set"
+        )
     n, m = inst.n, inst.m
     span = m - n
     names: list[str] = []

@@ -6,10 +6,14 @@ Two independent engines answer the same question:
   following the move-sequence definition verbatim.  It is the ground truth
   at small scale and the reference the move-list solver is tested against.
 
-* :func:`is_cover_solvable` searches directly over move lists.  The move
-  budget is iteratively deepened (doubling) up to ``|C| - |D|``, past which
-  no list can work: each move loses one pebble net, so longer lists cannot
-  end above the demand.  Per-directed-edge counts are branched in ascending
+* :func:`is_cover_solvable` searches directly over move lists.  Its
+  graph-only tables form a :class:`SearchPlan`, built once per graph on the
+  first call that gets past the root checks and kept on the graph.  The
+  search itself runs on an explicit stack, one frame per edge position, so
+  it never touches the interpreter's recursion limit.  The move budget is
+  iteratively deepened (doubling) up to ``|C| - |D|``, past which no list
+  can work: each move loses one pebble net, so longer lists cannot end
+  above the demand.  Per-directed-edge counts are branched in ascending
   (from, to) order with higher counts tried first, restricted to cycle-free
   supports; partial assignments are pruned as soon as the outstanding
   per-vertex deficits exceed the remaining budget, a vertex with no
@@ -27,9 +31,9 @@ never reported as "unsolvable".
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Configuration,
@@ -150,6 +154,72 @@ def oracle_solvable(
     return False
 
 
+class SearchPlan(NamedTuple):
+    """The tables of :func:`is_cover_solvable` that depend only on the graph.
+
+    Built once per graph by :func:`search_plan` and kept on it, so a number
+    sweep over thousands of configurations pays for them once.  Read-only.
+    """
+
+    edges: tuple[tuple[int, int], ...]  # branching order, ascending (from, to)
+    weight: list[list[int]]  # [x][z] = 2**(diam - dist(x, z))
+    edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
+    res_weight: list[list[list[int]]]  # [p][z][x]: weights over the arcs edges[p:]
+    rev_adj: list[list[tuple[int, ...]]]  # [p][a]: tails of the arcs edges[p:] into a
+    in_pending: tuple[int, ...]  # arcs into each vertex
+
+
+def search_plan(g: Graph) -> SearchPlan:
+    """The search plan of ``g``: built on first use, then kept on ``g``."""
+    plan = g._plan
+    if plan is None:
+        plan = g._plan = _build_plan(g)
+    return plan
+
+
+def _build_plan(g: Graph) -> SearchPlan:
+    n = g.n
+    edges = g.directed_edges()
+    diam = g.diameter
+    weight = [[1 << (diam - g.distance(x, z)) for z in range(n)] for x in range(n)]
+    edge_delta = [
+        [weight[w][z] - 2 * weight[u][z] for z in range(n)] for u, w in edges
+    ]
+
+    # Position-restricted potentials: edges are assigned in one fixed order,
+    # so at position p only the arcs edges[p:] remain usable.  A deficit at z
+    # can then be served only along remaining arcs, halving per step; if the
+    # restricted potential sum(val[x] * 2**-arcdist_p(x -> z)) is negative,
+    # no completion fixes z.  arcdist is a directed BFS over reversed
+    # remaining arcs; unreachable vertices weigh zero.
+    by_dist = [1 << (n - k) for k in range(n)]  # rows share these int objects
+    res_weight: list[list[list[int]]] = []
+    rev_adj: list[list[tuple[int, ...]]] = []
+    for p in range(len(edges) + 1):
+        rev: list[list[int]] = [[] for _ in range(n)]
+        for u, w in edges[p:]:
+            rev[w].append(u)
+        rev_adj.append([tuple(rev[a]) for a in range(n)])
+        per_z: list[list[int]] = []
+        for z in range(n):
+            dist = [-1] * n
+            dist[z] = 0
+            queue = deque([z])
+            while queue:
+                a = queue.popleft()
+                for b in rev[a]:
+                    if dist[b] < 0:
+                        dist[b] = dist[a] + 1
+                        queue.append(b)
+            per_z.append([0 if k < 0 else by_dist[k] for k in dist])
+        res_weight.append(per_z)
+
+    in_pending = [0] * n
+    for _, w in edges:
+        in_pending[w] += 1
+    return SearchPlan(edges, weight, edge_delta, res_weight, rev_adj, tuple(in_pending))
+
+
 def is_cover_solvable(
     g: Graph,
     c: Configuration,
@@ -177,205 +247,22 @@ def is_cover_solvable(
         # too few pebbles to ever contain the demand: each move nets -1
         return SolveResult(False, None, None, 0, 0)
 
-    edges = g.directed_edges()
-    m_edges = len(edges)
-    # one frame per edge position; keep headroom for large instances
-    needed = 4 * m_edges + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    diam = g.diameter
-    # weight[x][z] = 2**(diam - dist(x, z)); potential numerators stay integral
-    weight = [[1 << (diam - g.distance(x, z)) for z in range(n)] for x in range(n)]
-    # per-edge potential delta for one move: +w at the head, -2w at the tail
-    edge_delta = [
-        [weight[w][z] - 2 * weight[u][z] for z in range(n)] for u, w in edges
-    ]
+    plan = search_plan(g)
+    weight = plan.weight
     pot = [sum(base[x] * weight[x][z] for x in range(n)) for z in range(n)]
-
-    # Position-restricted potentials: edges are assigned in one fixed order,
-    # so at position p only the arcs edges[p:] remain usable.  A deficit at z
-    # can then be served only along remaining arcs, halving per step; if the
-    # restricted potential sum(val[x] * 2**-arcdist_p(x -> z)) is negative,
-    # no completion fixes z.  arcdist is a directed BFS over reversed
-    # remaining arcs; unreachable vertices weigh zero.
-    res_weight: list[list[list[int]]] = []
-    rev_adj: list[list[tuple[int, ...]]] = []
-    for p in range(m_edges + 1):
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for u, w in edges[p:]:
-            rev[w].append(u)
-        rev_adj.append([tuple(rev[a]) for a in range(n)])
-        per_z: list[list[int]] = []
-        for z in range(n):
-            dist = [-1] * n
-            dist[z] = 0
-            queue = deque([z])
-            while queue:
-                a = queue.popleft()
-                for b in rev[a]:
-                    if dist[b] < 0:
-                        dist[b] = dist[a] + 1
-                        queue.append(b)
-            per_z.append([0 if dist[x] < 0 else 1 << (n - dist[x]) for x in range(n)])
-        res_weight.append(per_z)
-
-    val = base[:]
-    def_sum = sum(-x for x in val if x < 0)
-    in_pending = [0] * n
-    for _, w in edges:
-        in_pending[w] += 1
-    succ: list[set[int]] = [set() for _ in range(n)]
-    counts = [0] * m_edges
-    solution: list[int] | None = None
     nodes = 0
     max_depth = 0
-    rng_n = range(n)
-
-    def reaches(a: int, b: int) -> bool:
-        if a == b:
-            return True
-        stack = [a]
-        seen = {a}
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y == b:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
-
-    def search(p: int, r: int, depth: int) -> bool:
-        nonlocal def_sum, nodes, max_depth, solution
-        if def_sum == 0:
-            # every deficit met; zeros on the remaining edges finish the list
-            solution = counts[:]
-            return True
-        if def_sum > r:
-            return False
-        if depth > max_depth:
-            max_depth = depth
-        if p == m_edges:
-            return False
-        # every deficit must still be coverable through the remaining arcs
-        per_z = res_weight[p]
-        rev = rev_adj[p]
-        for z in rng_n:
-            if val[z] < 0:
-                row = per_z[z]
-                total = 0
-                for x in rng_n:
-                    vx = val[x]
-                    if vx:
-                        total += vx * row[x]
-                if total < 0:
-                    return False
-                # sharper pass: an arc whose reverse already carries moves
-                # would close a 2-cycle, so it cannot serve this deficit
-                dist = [-1] * n
-                dist[z] = 0
-                queue = [z]
-                total = 0
-                shift = n
-                while queue:
-                    nxt: list[int] = []
-                    for a in queue:
-                        total += val[a] << (shift - dist[a])
-                        sa = succ[a]
-                        for b in rev[a]:
-                            if dist[b] < 0 and b not in sa:
-                                dist[b] = dist[a] + 1
-                                nxt.append(b)
-                    queue = nxt
-                if total < 0:
-                    return False
-        u, w = edges[p]
-        in_pending[w] -= 1
-        try:
-            vu = val[u]
-            vw = val[w]
-            # q is capped by u's worst-case balance: out-moves cost 2 apiece
-            # and at most r - q future moves can feed u back.
-            if in_pending[u] > 0:
-                q_max = (vu + r) // 3
-            else:
-                q_max = vu // 2
-            if q_max > r:
-                q_max = r
-            if q_max > 0 and reaches(w, u):
-                q_max = 0  # a positive count here would close a cycle
-            # w with no later in-edges must be lifted to balance by this edge
-            q_min = -vw if in_pending[w] == 0 and vw < 0 else 0
-            if q_max < q_min:
-                return False
-            delta = edge_delta[p]
-            for q in range(q_max, q_min - 1, -1):
-                nodes += 1
-                if nodes > node_cap:
-                    raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
-                if q == 0:
-                    if search(p + 1, r, depth):
-                        return True
-                    continue
-                nvu = vu - 2 * q
-                nvw = vw + q
-                # incremental deficit update: only u and w changed
-                ndef = def_sum
-                if vu < 0:
-                    ndef += vu
-                if nvu < 0:
-                    ndef -= nvu
-                if vw < 0:
-                    ndef += vw
-                if nvw < 0:
-                    ndef -= nvw
-                if ndef > r - q:
-                    continue
-                if in_pending[u] == 0 and nvu < 0:
-                    continue
-                # exact potential: prune if it dips below zero anywhere
-                negative = False
-                for z in rng_n:
-                    t = pot[z] + q * delta[z]
-                    pot[z] = t
-                    if t < 0:
-                        negative = True
-                if negative:
-                    for z in rng_n:
-                        pot[z] -= q * delta[z]
-                    continue
-                val[u] = nvu
-                val[w] = nvw
-                old_def = def_sum
-                def_sum = ndef
-                added = w not in succ[u]
-                if added:
-                    succ[u].add(w)
-                counts[p] = q
-                found = search(p + 1, r - q, depth + q)
-                counts[p] = 0
-                if added:
-                    succ[u].discard(w)
-                val[u] = vu
-                val[w] = vw
-                def_sum = old_def
-                for z in rng_n:
-                    pot[z] -= q * delta[z]
-                if found:
-                    return True
-            return False
-        finally:
-            in_pending[w] += 1
-
     # Deepen the move budget geometrically up to the pebble-loss bound; the
     # final level alone is exhaustive, so unsolvability costs one bounded
     # pass while solvable instances exit at a level near their minimum.
     level = 1
     while True:
         level = min(level, budget)
-        if search(0, level, 0):
-            assert solution is not None
+        solution, nodes, max_depth = _search(
+            plan, base, pot, level, node_cap, nodes, max_depth
+        )
+        if solution is not None:
+            edges = plan.edges
             ml = MoveList(
                 [(edges[i][0], edges[i][1], q) for i, q in enumerate(solution) if q]
             )
@@ -383,6 +270,191 @@ def is_cover_solvable(
         if level == budget:
             return SolveResult(False, None, None, nodes, max_depth)
         level <<= 1
+
+
+def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
+    """Is ``b`` reachable from ``a`` along the support arcs ``succ``?"""
+    if a == b:
+        return True
+    stack = [a]
+    seen = {a}
+    while stack:
+        x = stack.pop()
+        for y in succ[x]:
+            if y == b:
+                return True
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def _search(
+    plan: SearchPlan,
+    val: list[int],
+    pot: list[int],
+    r: int,
+    node_cap: int,
+    nodes: int,
+    max_depth: int,
+) -> tuple[list[int] | None, int, int]:
+    """One depth-first pass over move lists of at most ``r`` moves.
+
+    The stack holds one frame per open edge position.  ``val`` (balances)
+    and ``pot`` (potential numerators) are updated in place and restored on
+    the way back.  Returns the per-edge counts of a solution or None, with
+    the running node count and deepest move total.
+    """
+    edges = plan.edges
+    edge_delta = plan.edge_delta
+    res_weight = plan.res_weight
+    rev_adj = plan.rev_adj
+    m_edges = len(edges)
+    n = len(val)
+    rng_n = range(n)
+    in_pending = list(plan.in_pending)
+    succ: list[set[int]] = [set() for _ in rng_n]
+    counts = [0] * m_edges
+    def_sum = sum(-x for x in val if x < 0)
+    stack: list[tuple] = []
+    p = 0
+    depth = 0
+    while True:
+        # Enter the node at position p with r moves left; if it opens, set up
+        # its count loop (u, w, vu, vw, q, q_min, delta).
+        if def_sum == 0:
+            # every deficit met; zeros on the remaining edges finish the list
+            return counts, nodes, max_depth
+        backtrack = True
+        if def_sum <= r:
+            if depth > max_depth:
+                max_depth = depth
+            if p < m_edges:
+                # every deficit must still be coverable through the remaining arcs
+                per_z = res_weight[p]
+                rev = rev_adj[p]
+                for z in rng_n:
+                    if val[z] < 0:
+                        row = per_z[z]
+                        total = 0
+                        for x in rng_n:
+                            vx = val[x]
+                            if vx:
+                                total += vx * row[x]
+                        if total < 0:
+                            break
+                        # sharper pass: an arc whose reverse already carries
+                        # moves would close a 2-cycle, so it cannot serve
+                        # this deficit
+                        dist = [-1] * n
+                        dist[z] = 0
+                        queue = [z]
+                        total = 0
+                        shift = n
+                        while queue:
+                            nxt: list[int] = []
+                            for a in queue:
+                                total += val[a] << (shift - dist[a])
+                                sa = succ[a]
+                                for b in rev[a]:
+                                    if dist[b] < 0 and b not in sa:
+                                        dist[b] = dist[a] + 1
+                                        nxt.append(b)
+                            queue = nxt
+                        if total < 0:
+                            break
+                else:
+                    u, w = edges[p]
+                    in_pending[w] -= 1
+                    vu = val[u]
+                    vw = val[w]
+                    # q is capped by u's worst-case balance: out-moves cost 2
+                    # apiece and at most r - q future moves can feed u back.
+                    if in_pending[u] > 0:
+                        q_max = (vu + r) // 3
+                    else:
+                        q_max = vu // 2
+                    if q_max > r:
+                        q_max = r
+                    if q_max > 0 and _reaches(succ, w, u):
+                        q_max = 0  # a positive count here would close a cycle
+                    # w with no later in-edges must be lifted to balance by this edge
+                    q_min = -vw if in_pending[w] == 0 and vw < 0 else 0
+                    if q_max < q_min:
+                        in_pending[w] += 1
+                    else:
+                        delta = edge_delta[p]
+                        q = q_max + 1
+                        backtrack = False
+
+        # Pick the next count at the deepest open position and descend, or
+        # back up a position once its counts run out.
+        while True:
+            if backtrack:
+                if not stack:
+                    return None, nodes, max_depth
+                p, r, depth, u, w, vu, vw, q, q_min, delta, old_def, added = stack.pop()
+                if q:
+                    counts[p] = 0
+                    if added:
+                        succ[u].discard(w)
+                    val[u] = vu
+                    val[w] = vw
+                    def_sum = old_def
+                    for z in rng_n:
+                        pot[z] -= q * delta[z]
+                backtrack = False
+            q -= 1
+            if q < q_min:
+                in_pending[w] += 1
+                backtrack = True
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
+            if q == 0:
+                stack.append((p, r, depth, u, w, vu, vw, 0, q_min, delta, def_sum, False))
+                p += 1
+                break
+            nvu = vu - 2 * q
+            nvw = vw + q
+            # incremental deficit update: only u and w changed
+            ndef = def_sum
+            if vu < 0:
+                ndef += vu
+            if nvu < 0:
+                ndef -= nvu
+            if vw < 0:
+                ndef += vw
+            if nvw < 0:
+                ndef -= nvw
+            if ndef > r - q:
+                continue
+            if in_pending[u] == 0 and nvu < 0:
+                continue
+            # exact potential: prune if it dips below zero anywhere
+            negative = False
+            for z in rng_n:
+                t = pot[z] + q * delta[z]
+                pot[z] = t
+                if t < 0:
+                    negative = True
+            if negative:
+                for z in rng_n:
+                    pot[z] -= q * delta[z]
+                continue
+            val[u] = nvu
+            val[w] = nvw
+            added = w not in succ[u]
+            if added:
+                succ[u].add(w)
+            counts[p] = q
+            stack.append((p, r, depth, u, w, vu, vw, q, q_min, delta, def_sum, added))
+            def_sum = ndef
+            p += 1
+            r -= q
+            depth += q
+            break
 
 
 def _support_cycle(succ: dict[int, list[int]]) -> list[int] | None:

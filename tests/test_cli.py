@@ -182,5 +182,17 @@ class TestUsageErrors:
         assert main(["solve", "--instance", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_seed_flag_removed(self, p3_file):
+        assert main(["solve", "--instance", p3_file, "--seed", "1"]) == 2
+
+    def test_x4c_element_in_no_set(self, tmp_path, capsys):
+        # elements 7 and 8 lie in no set; this used to end in a traceback
+        # and exit 1, the "unsolvable" code
+        x4c = tmp_path / "u.x4c"
+        x4c.write_text("2 3\n1 2 3 4\n1 2 3 5\n1 2 3 6\n")
+        assert main(["reduce", "x4c-cover", "--x4c", str(x4c)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: elements 7, 8 lie in no set\n"
+
     def test_missing_file(self):
         assert main(["solve", "--instance", "/nonexistent/file.txt"]) == 2

@@ -12,6 +12,7 @@ from pebbling import (
     stacking_lower_bound,
 )
 from pebbling.numbers import compositions_colex
+from universe import compositions
 
 
 class TestCompositionsColex:
@@ -22,6 +23,14 @@ class TestCompositionsColex:
         from math import comb
 
         assert sum(1 for _ in compositions_colex(5, 4)) == comb(8, 3)
+
+    def test_matches_recursive_reference(self):
+        # total 0 has a single all-zero composition
+        for total in range(10):
+            for parts in range(1, 8):
+                assert list(compositions_colex(total, parts)) == list(
+                    compositions(total, parts)
+                )
 
 
 class TestCoverPebblingNumber:

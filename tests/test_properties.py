@@ -19,6 +19,7 @@ from pebbling import (
     solve_tree,
     verify_solution,
 )
+from pebbling.solver import search_plan
 
 
 @st.composite
@@ -130,6 +131,17 @@ def test_solver_certificates_match_oracle(case):
     g, c, d = case
     result = is_cover_solvable(g, c, d)
     assert result.solvable == oracle_solvable(g, c, d)
+
+
+@given(instances(), st.data())
+def test_solve_with_built_plan_matches_fresh_graph(case, data):
+    g, c, d = case
+    plan = search_plan(g)
+    # an earlier search on g must leave nothing behind in the shared plan
+    other = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
+    is_cover_solvable(g, Configuration(tuple(other)), Demand.unit(g.n))
+    assert search_plan(g) is plan
+    assert is_cover_solvable(g, c, d) == is_cover_solvable(Graph(g.n, g.edges), c, d)
 
 
 @given(instances(), st.data())

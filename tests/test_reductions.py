@@ -59,6 +59,14 @@ class TestCoverReduction:
         assert red.config.counts[red.index_of("v")] == 2
         assert red.demand == Demand.unit(19)
 
+    def test_rejects_element_in_no_set(self):
+        inst = X4CInstance(
+            2,
+            (frozenset({1, 2, 3, 4}), frozenset({1, 2, 3, 5}), frozenset({1, 2, 3, 6})),
+        )
+        with pytest.raises(MalformedInstance, match="elements 7, 8 lie in no set"):
+            reduce_to_cover_solvability(inst)
+
     def test_total_pebbles_formula(self):
         for inst in (FIG1, NO_COVER):
             n, m = inst.n, inst.m

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from pebbling import (
@@ -99,6 +101,18 @@ class TestIsCoverSolvable:
             is_cover_solvable(
                 g, Configuration((63, 0, 0, 0, 0, 0)), Demand.unit(6), node_cap=5
             )
+
+    def test_many_arcs_leave_recursion_limit_alone(self):
+        # K_33 has 1,056 arcs, one stack frame per arc position
+        n = 33
+        g = Graph.complete(n)
+        counts = [0] * n
+        counts[32] = 2
+        c, d = Configuration(tuple(counts)), Demand.reach(n, 31)
+        limit = sys.getrecursionlimit()
+        result = is_cover_solvable(g, c, d)
+        assert sys.getrecursionlimit() == limit
+        assert result.solvable and verify_solution(g, c, d, result.certificate)
 
     def test_certificates_verify_and_are_acyclic(self):
         g = Graph.cycle(4)
