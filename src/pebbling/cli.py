@@ -26,7 +26,14 @@ import json
 import sys
 from typing import Sequence
 
-from .core import Demand, EdgeViolation, PebblingError, gamma, verify_solution
+from .core import (
+    Demand,
+    EdgeViolation,
+    PebblingError,
+    apply_moves,
+    gamma,
+    verify_solution,
+)
 from .formats import (
     FormatError,
     Instance,
@@ -45,6 +52,7 @@ from .reductions import (
     reduce_to_number_threshold,
 )
 from .solver import (
+    DEFAULT_STATE_CAP,
     BudgetExceeded,
     is_canonical_solvable,
     is_cover_solvable,
@@ -182,30 +190,15 @@ def _resolve_demand_kind(instance: Instance, kind: str) -> Demand:
 
 def _cmd_number(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    if args.demand_kind:
-        d = _resolve_demand_kind(instance, args.demand_kind)
+    if args.command == "pi":
+        result = pebbling_number(instance.graph, node_cap=args.node_cap)
     else:
         d = instance.demand
-    result = cover_pebbling_number(instance.graph, d, node_cap=args.node_cap)
+        if args.demand_kind:
+            d = _resolve_demand_kind(instance, args.demand_kind)
+        result = cover_pebbling_number(instance.graph, d, node_cap=args.node_cap)
     report = {
-        "command": "number",
-        "value": result.value,
-        "extremal_config": {
-            instance.names[i]: x
-            for i, x in enumerate(result.extremal_config.counts)
-            if x
-        },
-        "configs_checked": result.configs_checked,
-    }
-    _emit(args, report, f"{result.value}\n")
-    return EXIT_OK
-
-
-def _cmd_pi(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    result = pebbling_number(instance.graph, node_cap=args.node_cap)
-    report = {
-        "command": "pi",
+        "command": args.command,
         "value": result.value,
         "extremal_config": {
             instance.names[i]: x
@@ -220,8 +213,13 @@ def _cmd_pi(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
+    # the oracle stores every configuration it visits, so it keeps the
+    # library's state cap even when --node-cap asks for more
     solvable = oracle_solvable(
-        instance.graph, instance.config, instance.demand, state_cap=args.node_cap
+        instance.graph,
+        instance.config,
+        instance.demand,
+        state_cap=min(args.node_cap, DEFAULT_STATE_CAP),
     )
     report = {"command": "oracle", "status": "solvable" if solvable else "unsolvable"}
     _emit(args, report)
@@ -244,14 +242,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     violated = None
     if not ok:
-        final = list(instance.config.counts)
-        for u, w, q in ml.items():
-            final[u] -= 2 * q
-            final[w] += q
-        for k in range(instance.graph.n):
-            if final[k] < instance.demand.counts[k]:
-                violated = instance.names[k]
-                break
+        final = apply_moves(instance.graph, instance.config, ml).counts
+        violated = next(
+            instance.names[k]
+            for k in range(instance.graph.n)
+            if final[k] < instance.demand.counts[k]
+        )
     report = {
         "command": "verify",
         "status": "verified" if ok else "invalid",
@@ -329,7 +325,7 @@ _COMMANDS = {
     "reach": _cmd_reach,
     "canonical": _cmd_canonical,
     "number": _cmd_number,
-    "pi": _cmd_pi,
+    "pi": _cmd_number,
     "oracle": _cmd_oracle,
     "verify": _cmd_verify,
     "gamma": _cmd_gamma,

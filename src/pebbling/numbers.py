@@ -1,20 +1,26 @@
 """Cover pebbling and pebbling numbers by exhaustive enumeration.
 
-The cover pebbling number of a demand is the least k such that *every*
-configuration of k pebbles is solvable for it; the pebbling number is the
-same with "solvable" replaced by "every vertex reachable".  Both sets of
-all-solvable sizes are upward closed (adding a pebble never breaks
-solvability), so a sweep over k = 1, 2, ... stops at the first size with no
-failing configuration, and the previous size is guaranteed to hold an
+All three numbers come from one threshold sweep over a list of demands: the
+least k such that *every* configuration of k pebbles is solvable for every
+demand.  The cover pebbling number sweeps one demand, the reachability
+number one single-pebble demand, and the pebbling number the single-pebble
+demands of all vertices at once, which shares the enumeration.  The set of
+all-passing sizes is upward closed (adding a pebble never breaks
+solvability), so the sweep runs k = 1, 2, ... and stops at the first size
+with no failing configuration; the previous size is guaranteed to hold an
 extremal (failing) witness.
 
 Configurations of each size are enumerated in colexicographic order, so the
 reported extremal configuration is deterministic: the colex-least failure
-at size value - 1.  Solvability of a configuration is first attempted by
-dominance (dropping any single pebble into a known-solvable configuration
-of the previous size); only dominance misses go to the exact solver.  Each
-configuration is visited once per size, so solver verdicts are not cached;
-the graph-only tables of the solver are built once per graph.
+at size value - 1.  Each demand is settled for each configuration, first by
+dominance (dropping any single pebble into a configuration of the previous
+size known solvable for that demand); only dominance misses go to the exact
+solver.  Each configuration is visited once per size, so solver verdicts are
+not cached; the graph-only tables of the solver are built once per graph.
+
+:func:`stacking_lower_bound` is a proven lower bound on the cover pebbling
+number, not a starting point: a sweep from it would have no dominance base
+for its first size and would send every configuration there to the solver.
 
 This is desk-scale machinery: the number of compositions of k into n parts
 grows fast, so expect |V| up to about 8 and values up to a few dozen.
@@ -23,7 +29,7 @@ grows fast, so expect |V| up to about 8 and values up to a few dozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Configuration, Demand, Graph, PebblingError
 from .solver import DEFAULT_NODE_CAP, BudgetExceeded, is_cover_solvable
@@ -76,10 +82,14 @@ def compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def stacking_lower_bound(g: Graph, d: Demand) -> int:
     """Max over v of the cost of serving the whole demand from a stack on v.
 
-    Delivering d(u) pebbles from v costs d(u) * 2**dist(u, v), so a stack
-    one short of the maximum cannot serve the demand from the worst vertex.
-    That makes this a warm start for the enumeration; it is asserted against
-    the enumerated value in tests rather than assumed.
+    A proven lower bound on the cover pebbling number of ``d``: the weight
+    sum(p(x) * 2**dist(x, v)) never increases under a move, since a move
+    takes 2 * 2**dist(u, v) off u and adds at most 2**(dist(u, v) + 1) to
+    its neighbour.  A stack of k pebbles on v weighs k, and any
+    configuration containing ``d`` weighs at least sum(d(u) * 2**dist(u, v)),
+    so one pebble fewer than that cannot serve ``d`` from v.  Sjöstrand's
+    cover pebbling theorem says the bound is the value for strictly
+    positive demands; the tests check that against the sweep.
     """
     if len(d.counts) != g.n:
         raise ValueError("demand covers a different vertex set")
@@ -89,33 +99,33 @@ def stacking_lower_bound(g: Graph, d: Demand) -> int:
     )
 
 
-def _sweep(
+def _threshold(
     g: Graph,
-    solvable_for: Callable[[tuple[int, ...], int], bool],
+    demands: list[Demand],
     *,
-    start: int,
+    node_cap: int,
     config_cap: int,
     unit_bound: int | None,
 ) -> NumberResult:
-    """Shared size sweep: find the least k with no failing configuration.
+    """Least k such that every size-k configuration solves every demand.
 
-    ``solvable_for(counts, size)`` decides one configuration; sizes arrive
-    in ascending runs, so it can settle a configuration by dominance over
-    the previous size.  ``start`` > 1 trusts the caller that
-    sizes below start - 1 all fail; if start - 1 unexpectedly has no failing
-    configuration the sweep restarts from 1, preserving exactness.
+    Keeps one dominance set per demand: the configurations of the previous
+    size solvable for it.  Every demand is settled for every configuration,
+    so the sets stay complete.  ``unit_bound`` is a proven ceiling on the
+    value; passing it means a solver bug, not a larger answer.
     """
     n = g.n
+    per_demand = range(len(demands))
     checked = 0
-    prev_fail: tuple[int, ...] | None = (0,) * n if start == 1 else None
-    k = start if start > 1 else 1
-    if k > 1:
-        k -= 1  # re-scan the size below the warm start to find its witness
+    prev: list[set[tuple[int, ...]]] = [set() for _ in per_demand]
+    witness = (0,) * n  # no pebbles serve no non-zero demand
+    k = 1
     while True:
         if unit_bound is not None and k > unit_bound:
             raise PebblingError(
                 f"sweep passed the proven upper bound {unit_bound}; solver bug"
             )
+        cur: list[set[tuple[int, ...]]] = [set() for _ in per_demand]
         first_fail: tuple[int, ...] | None = None
         for counts in compositions_colex(k, n):
             checked += 1
@@ -123,20 +133,25 @@ def _sweep(
                 raise BudgetExceeded(
                     f"enumerated more than {config_cap} configurations"
                 )
-            if not solvable_for(counts, k) and first_fail is None:
+            good = True
+            for j in per_demand:
+                base = prev[j]
+                for i, x in enumerate(counts):
+                    if x and counts[:i] + (x - 1,) + counts[i + 1:] in base:
+                        break
+                else:
+                    if not is_cover_solvable(
+                        g, Configuration(counts), demands[j], node_cap=node_cap
+                    ).solvable:
+                        good = False
+                        continue
+                cur[j].add(counts)
+            if not good and first_fail is None:
                 first_fail = counts
         if first_fail is None:
-            if prev_fail is None:
-                # warm start overshot: fall back to the faithful sweep
-                return _sweep(
-                    g,
-                    solvable_for,
-                    start=1,
-                    config_cap=config_cap,
-                    unit_bound=unit_bound,
-                )
-            return NumberResult(k, Configuration(prev_fail), checked)
-        prev_fail = first_fail
+            return NumberResult(k, Configuration(witness), checked)
+        witness = first_fail
+        prev = cur
         k += 1
 
 
@@ -146,50 +161,21 @@ def cover_pebbling_number(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     config_cap: int = DEFAULT_CONFIG_CAP,
-    warm_start: bool = False,
 ) -> NumberResult:
     """Exact cover pebbling number of ``d`` on ``g``.
 
-    Sweeps sizes from 1 (the faithful default) or from the stacking bound
-    when ``warm_start`` is set.  For the unit demand the sweep is guarded by
-    the proven ``2**n - 1`` ceiling: passing it would mean a solver bug, not
-    a larger answer.
+    For the unit demand the sweep is guarded by the proven ``2**n - 1``
+    ceiling.
     """
     if len(d.counts) != g.n:
         raise ValueError("demand covers a different vertex set")
     if d.size == 0:
         raise ZeroDemand("demand must request at least one pebble")
     unit = d.counts == (1,) * g.n
-    solvable_prev: set[tuple[int, ...]] = set()
-    solvable_cur: set[tuple[int, ...]] = set()
-    cur_size = -1
-
-    def solvable_for(counts: tuple[int, ...], size: int) -> bool:
-        nonlocal solvable_prev, solvable_cur, cur_size
-        if size != cur_size:
-            # moved to a new size: last size's successes become the
-            # dominance base (only consecutive sizes matter)
-            solvable_prev = solvable_cur if size == cur_size + 1 else set()
-            solvable_cur = set()
-            cur_size = size
-        ok = None
-        for i, x in enumerate(counts):
-            if x and counts[:i] + (x - 1,) + counts[i + 1:] in solvable_prev:
-                ok = True
-                break
-        if ok is None:
-            ok = is_cover_solvable(
-                g, Configuration(counts), d, node_cap=node_cap
-            ).solvable
-        if ok:
-            solvable_cur.add(counts)
-        return ok
-
-    start = stacking_lower_bound(g, d) if warm_start else 1
-    return _sweep(
+    return _threshold(
         g,
-        solvable_for,
-        start=max(1, start),
+        [d],
+        node_cap=node_cap,
         config_cap=config_cap,
         unit_bound=(1 << g.n) - 1 if unit else None,
     )
@@ -201,15 +187,10 @@ def reachability_number(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     config_cap: int = DEFAULT_CONFIG_CAP,
-    warm_start: bool = False,
 ) -> NumberResult:
     """Cover pebbling number of the single-pebble demand on ``target``."""
     return cover_pebbling_number(
-        g,
-        Demand.reach(g.n, target),
-        node_cap=node_cap,
-        config_cap=config_cap,
-        warm_start=warm_start,
+        g, Demand.reach(g.n, target), node_cap=node_cap, config_cap=config_cap
     )
 
 
@@ -221,42 +202,13 @@ def pebbling_number(
 ) -> NumberResult:
     """Least k such that every size-k configuration reaches every vertex.
 
-    Equivalent to the max over targets of the per-target threshold, but it
-    is computed as one sweep testing all targets per configuration, which
-    shares the enumeration.
+    The max over targets of the reachability number, computed as one sweep
+    over all targets so that the enumeration is shared.
     """
-    n = g.n
-    demands = [Demand.reach(n, v) for v in range(n)]
-    solvable_prev: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
-    solvable_cur: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
-    cur_size = -1
-
-    def canonical_for(counts: tuple[int, ...], size: int) -> bool:
-        nonlocal solvable_prev, solvable_cur, cur_size
-        if size != cur_size:
-            solvable_prev = (
-                solvable_cur if size == cur_size + 1 else [set() for _ in range(n)]
-            )
-            solvable_cur = [set() for _ in range(n)]
-            cur_size = size
-        good = True
-        for v in range(n):
-            ok = None
-            prev = solvable_prev[v]
-            for i, x in enumerate(counts):
-                if x and counts[:i] + (x - 1,) + counts[i + 1:] in prev:
-                    ok = True
-                    break
-            if ok is None:
-                ok = is_cover_solvable(
-                    g, Configuration(counts), demands[v], node_cap=node_cap
-                ).solvable
-            if ok:
-                solvable_cur[v].add(counts)
-            else:
-                good = False
-        return good
-
-    return _sweep(
-        g, canonical_for, start=1, config_cap=config_cap, unit_bound=None
+    return _threshold(
+        g,
+        [Demand.reach(g.n, v) for v in range(g.n)],
+        node_cap=node_cap,
+        config_cap=config_cap,
+        unit_bound=None,
     )

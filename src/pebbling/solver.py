@@ -38,11 +38,10 @@ from typing import NamedTuple
 from .core import (
     Configuration,
     Demand,
-    DimensionMismatch,
     Graph,
     MoveList,
     PebblingError,
-    gamma_witness,
+    _check_dims,
     verify_solution,
 )
 
@@ -99,13 +98,6 @@ class CanonicalResult:
     results: tuple[SolveResult, ...]
 
 
-def _check(g: Graph, c: Configuration, d: Demand) -> None:
-    if len(c.counts) != g.n or len(d.counts) != g.n:
-        raise DimensionMismatch(
-            f"graph has {g.n} vertices, got |c|={len(c.counts)}, |d|={len(d.counts)}"
-        )
-
-
 def oracle_solvable(
     g: Graph,
     c: Configuration,
@@ -120,7 +112,7 @@ def oracle_solvable(
     memoized; termination is guaranteed because every move shrinks the
     pebble count.
     """
-    _check(g, c, d)
+    _check_dims(g, c, d)
     if c.has_negative:
         raise ValueError("the oracle needs a non-negative configuration")
     dc = d.counts
@@ -162,7 +154,6 @@ class SearchPlan(NamedTuple):
     """
 
     edges: tuple[tuple[int, int], ...]  # branching order, ascending (from, to)
-    weight: list[list[int]]  # [x][z] = 2**(diam - dist(x, z))
     edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
     res_weight: list[list[list[int]]]  # [p][z][x]: weights over the arcs edges[p:]
     rev_adj: list[list[tuple[int, ...]]]  # [p][a]: tails of the arcs edges[p:] into a
@@ -217,7 +208,7 @@ def _build_plan(g: Graph) -> SearchPlan:
     in_pending = [0] * n
     for _, w in edges:
         in_pending[w] += 1
-    return SearchPlan(edges, weight, edge_delta, res_weight, rev_adj, tuple(in_pending))
+    return SearchPlan(edges, edge_delta, res_weight, rev_adj, tuple(in_pending))
 
 
 def is_cover_solvable(
@@ -234,22 +225,29 @@ def is_cover_solvable(
     the deepening level at which it was found (so near-minimal, a byproduct
     of the schedule rather than a promise).
     """
-    _check(g, c, d)
+    _check_dims(g, c, d)
     n = g.n
     base = [c.counts[k] - d.counts[k] for k in range(n)]
     if all(x >= 0 for x in base):
         return SolveResult(True, MoveList(), None, 0, 0)
-    witness = gamma_witness(g, c, d)
-    if witness is not None:
-        return SolveResult(False, None, witness, 0, 0)
+    # Potential numerators over 2**diam: a negative one proves unsolvability
+    # and names the same witness as gamma_witness, whose denominators differ
+    # only by powers of two.
+    dist = g._dist
+    diam = g.diameter
+    pot = []
+    for z in range(n):
+        row = dist[z]
+        t = sum([base[x] << (diam - row[x]) for x in range(n)])
+        if t < 0:
+            return SolveResult(False, None, z, 0, 0)
+        pot.append(t)
     budget = sum(base)
     if budget <= 0:
         # too few pebbles to ever contain the demand: each move nets -1
         return SolveResult(False, None, None, 0, 0)
 
     plan = search_plan(g)
-    weight = plan.weight
-    pot = [sum(base[x] * weight[x][z] for x in range(n)) for z in range(n)]
     nodes = 0
     max_depth = 0
     # Deepen the move budget geometrically up to the pebble-loss bound; the
@@ -521,7 +519,7 @@ def collapse_leaf(
     solvable (in the signed sense) exactly when the original is, which is
     what makes the tree solver exact.
     """
-    _check(g, c, d)
+    _check_dims(g, c, d)
     if g.n == 1:
         raise SingletonGraph("cannot remove the last vertex")
     if not 0 <= leaf < g.n:
@@ -550,7 +548,7 @@ def solve_tree(g: Graph, c: Configuration, d: Demand) -> bool:
     on non-negative inputs (a contract enforced by randomized testing, not
     assumed).
     """
-    _check(g, c, d)
+    _check_dims(g, c, d)
     if not g.is_tree:
         raise NotATree("graph has a cycle")
     while g.n > 1:

@@ -105,11 +105,23 @@ class TestNumbers:
         assert main(["pi", "--instance", str(path)]) == 0
         assert capsys.readouterr().out == "8\n"
 
+    def test_number_and_pi_json_name_their_command(self, p3_file, capsys):
+        for command, value in (("number", 7), ("pi", 4)):
+            assert main([command, "--instance", p3_file, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["command"] == command and doc["value"] == value
+
 
 class TestOracleVerifyGamma:
     def test_oracle_agrees(self, p3_file, p3_short_file):
         assert main(["oracle", "--instance", p3_file]) == 0
         assert main(["oracle", "--instance", p3_short_file]) == 1
+
+    def test_oracle_keeps_the_library_state_cap(self, p3_short_file, monkeypatch, capsys):
+        # the default --node-cap (10^7) must not lift the oracle's state cap
+        monkeypatch.setattr("pebbling.cli.DEFAULT_STATE_CAP", 2)
+        assert main(["oracle", "--instance", p3_short_file]) == 3
+        assert "more than 2 configurations" in capsys.readouterr().err
 
     def test_verify_invalid_names_vertex(self, p3_short_file, tmp_path, capsys):
         cert = tmp_path / "c.txt"

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from pebbling import (
@@ -20,8 +22,6 @@ class TestCompositionsColex:
         assert list(compositions_colex(1, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_counts(self):
-        from math import comb
-
         assert sum(1 for _ in compositions_colex(5, 4)) == comb(8, 3)
 
     def test_matches_recursive_reference(self):
@@ -75,14 +75,6 @@ class TestCoverPebblingNumber:
             for counts in compositions_colex(value - 1, 2)
         )
 
-    def test_warm_start_matches_default(self):
-        for g in (Graph.path(3), Graph.star(3), Graph.cycle(4)):
-            d = Demand.unit(g.n)
-            assert (
-                cover_pebbling_number(g, d, warm_start=True).value
-                == cover_pebbling_number(g, d).value
-            )
-
     def test_demand_monotonicity(self):
         import random
 
@@ -97,6 +89,22 @@ class TestCoverPebblingNumber:
                     cover_pebbling_number(g, Demand(low)).value
                     <= cover_pebbling_number(g, Demand(high)).value
                 )
+
+
+class TestThresholdSweep:
+    GRAPHS = (Graph.path(3), Graph.cycle(4), Graph.star(3), Graph.complete(4))
+
+    def test_every_size_up_to_the_value_is_enumerated_in_full(self):
+        # sizes 1 .. value, comb(k + n - 1, n - 1) configurations each
+        for g in self.GRAPHS:
+            for res in (cover_pebbling_number(g, Demand.unit(g.n)), pebbling_number(g)):
+                assert res.configs_checked == comb(res.value + g.n, g.n) - 1
+
+    def test_pebbling_number_is_max_reachability_number(self):
+        for g in (*self.GRAPHS, Graph.path(2), Graph.path(4), Graph.cycle(5)):
+            assert pebbling_number(g).value == max(
+                reachability_number(g, v).value for v in range(g.n)
+            )
 
 
 class TestReachabilityNumber:
@@ -149,8 +157,9 @@ class TestStackingLowerBound:
             assert stacking_lower_bound(g, d) <= cover_pebbling_number(g, d).value
 
     def test_matches_value_for_positive_demands_at_small_scale(self):
-        # the closed-form conjecture for strictly positive demands, checked
-        # empirically; never assumed by the implementation
+        # Sjöstrand's cover pebbling theorem ("The cover pebbling theorem",
+        # Electron. J. Combin. 2005): for strictly positive demands the value
+        # is the stacking bound.  The sweep never assumes it.
         for g in (Graph.path(2), Graph.path(3), Graph.star(3), Graph.complete(3)):
             for d in (Demand.unit(g.n), Demand(tuple(2 for _ in range(g.n)))):
                 assert stacking_lower_bound(g, d) == cover_pebbling_number(g, d).value

@@ -12,6 +12,7 @@ from pebbling import (
     MoveList,
     apply_moves,
     gamma,
+    gamma_witness,
     is_cover_solvable,
     legal_moves,
     normalize_acyclic,
@@ -183,8 +184,14 @@ def test_monotonicity_in_pebbles(case):
 
 @given(instances())
 def test_gamma_witness_is_sound(case):
-    from pebbling import gamma_witness
-
     g, c, d = case
     if gamma_witness(g, c, d) is not None:
         assert not oracle_solvable(g, c, d)
+
+
+@given(instances())
+def test_root_witness_equals_gamma_witness(case):
+    # the solver decides at the root exactly when some potential is
+    # negative, and then names the lowest such vertex; otherwise both are None
+    g, c, d = case
+    assert is_cover_solvable(g, c, d).witness == gamma_witness(g, c, d)
