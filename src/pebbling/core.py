@@ -52,14 +52,15 @@ class Graph:
     """Undirected connected simple graph on vertices ``0 .. n-1``.
 
     Vertices are identified by index; external names are resolved to indices
-    at the I/O boundary.  All-pairs distances are computed once by BFS at
-    construction, so distance queries are table lookups.  Instances are
-    immutable after construction and safe to share across threads; the two
-    lazily filled caches (directed edges, and the solver's search plan kept
-    by :func:`pebbling.solver.search_plan`) only ever receive equal values.
+    at the I/O boundary.  All-pairs distances and the diameter are computed
+    once by BFS at construction, so distance queries are table lookups.
+    Instances are immutable after construction and safe to share across
+    threads; the two lazily filled caches (directed edges, and the solver's
+    search plan kept by :func:`pebbling.solver.search_plan`) only ever
+    receive equal values.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_dist", "_directed", "_plan")
+    __slots__ = ("n", "edges", "diameter", "_adj", "_dist", "_directed", "_plan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -79,6 +80,7 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._dist = tuple(self._bfs(v) for v in range(n))
+        self.diameter = max(max(row) for row in self._dist)
         self._directed: tuple[tuple[int, int], ...] | None = None
         self._plan: SearchPlan | None = None
 
@@ -109,10 +111,6 @@ class Graph:
 
     def eccentricity(self, v: int) -> int:
         return max(self._dist[v])
-
-    @property
-    def diameter(self) -> int:
-        return max(max(row) for row in self._dist)
 
     @property
     def is_tree(self) -> bool:

@@ -1,35 +1,43 @@
-"""Cover pebbling and pebbling numbers by exhaustive enumeration.
+"""Cover pebbling and pebbling numbers by an exact threshold sweep.
 
 All three numbers come from one threshold sweep over a list of demands: the
 least k such that *every* configuration of k pebbles is solvable for every
 demand.  The cover pebbling number sweeps one demand, the reachability
 number one single-pebble demand, and the pebbling number the single-pebble
-demands of all vertices at once, which shares the enumeration.  The set of
-all-passing sizes is upward closed (adding a pebble never breaks
-solvability), so the sweep runs k = 1, 2, ... and stops at the first size
-with no failing configuration; the previous size is guaranteed to hold an
-extremal (failing) witness.
+demands of all vertices at once.  The set of all-passing sizes is upward
+closed (adding a pebble never breaks solvability), so the sweep runs
+k = 1, 2, ... and stops at the first size with no failing configuration;
+the previous size is guaranteed to hold an extremal (failing) witness.
 
-Configurations of each size are enumerated in colexicographic order, so the
-reported extremal configuration is deterministic: the colex-least failure
-at size value - 1.  Each demand is settled for each configuration, first by
-dominance (dropping any single pebble into a configuration of the previous
-size known solvable for that demand); only dominance misses go to the exact
-solver.  Each configuration is visited once per size, so solver verdicts are
-not cached; the graph-only tables of the solver are built once per graph.
+The sweep walks the failure frontier instead of enumerating every
+configuration.  For each demand it keeps the configurations of the previous
+size that fail it, starting from the empty configuration.  A configuration
+of the next size can fail only if every one-pebble removal of it fails too
+(otherwise it contains a solvable configuration, and solvability is upward
+closed), so only the one-pebble extensions of failures all of whose
+down-neighbours fail are built and sent to the exact solver; every other
+configuration of that size is solvable by dominance and is never built.
+Because the failing set of each size is complete, these are exactly the
+configurations that a full enumeration with a dominance test over the
+previous size would send to the solver.  The reported extremal
+configuration is the colex-least failure at size value - 1, and
+``configs_checked`` counts every configuration of sizes 1 .. value, all of
+them settled, built or not.
 
 :func:`stacking_lower_bound` is a proven lower bound on the cover pebbling
-number, not a starting point: a sweep from it would have no dominance base
-for its first size and would send every configuration there to the solver.
+number, not a starting point: a sweep from it would have no failing set for
+its first size and would send every configuration there to the solver.
 
-This is desk-scale machinery: the number of compositions of k into n parts
-grows fast, so expect |V| up to about 8 and values up to a few dozen.
+This is desk-scale machinery: the failing sets grow with the number of
+compositions of k into n parts, so expect |V| up to about 8 and values up to
+a few dozen.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from math import comb
 
 from .core import Configuration, Demand, Graph, PebblingError
 from .solver import DEFAULT_NODE_CAP, BudgetExceeded, is_cover_solvable
@@ -46,37 +54,14 @@ class NumberResult:
     """An exact pebbling-number value with its extremal witness.
 
     ``extremal_config`` has size ``value - 1`` and fails the defining
-    property; every configuration of size ``value`` passes (by exhaustion).
+    property; every configuration of size ``value`` passes.
+    ``configs_checked`` counts the configurations of sizes 1 .. ``value``,
+    each settled by the solver or by dominance.
     """
 
     value: int
     extremal_config: Configuration
     configs_checked: int
-
-
-def compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to split ``total`` over ``parts`` slots, colex ascending.
-
-    Colex order compares the last slot first.  The successor of a
-    composition whose first non-zero slot is ``i < parts - 1`` moves one
-    unit from slot ``i`` to slot ``i + 1`` and the rest of slot ``i`` back to
-    slot 0; the composition with everything in the last slot is final.
-    """
-    if parts < 1:
-        raise ValueError("need at least one part")
-    last = parts - 1
-    a = [0] * parts
-    a[0] = total
-    i = 0 if total else last  # first non-zero slot; the zero split is alone
-    while True:
-        yield tuple(a)
-        if i == last:
-            return
-        x = a[i]
-        a[i] = 0
-        a[i + 1] += 1
-        a[0] = x - 1
-        i = 0 if x > 1 else i + 1
 
 
 def stacking_lower_bound(g: Graph, d: Demand) -> int:
@@ -109,49 +94,44 @@ def _threshold(
 ) -> NumberResult:
     """Least k such that every size-k configuration solves every demand.
 
-    Keeps one dominance set per demand: the configurations of the previous
-    size solvable for it.  Every demand is settled for every configuration,
-    so the sets stay complete.  ``unit_bound`` is a proven ceiling on the
-    value; passing it means a solver bug, not a larger answer.
+    Keeps, per demand, the configurations of the previous size that fail
+    it.  A size-k configuration goes to the solver for a demand only when
+    every one-pebble removal of it is in that failing set: its extensions
+    are counted, and a count equal to its number of non-zero slots means
+    no solvable configuration lies below it.  ``configs_checked`` and
+    ``config_cap`` count all configurations of sizes 1 .. k.
+    ``unit_bound`` is a proven ceiling on the value; passing it means a
+    solver bug, not a larger answer.
     """
     n = g.n
-    per_demand = range(len(demands))
+    failing: list[set[tuple[int, ...]]] = [{(0,) * n} for _ in demands]
     checked = 0
-    prev: list[set[tuple[int, ...]]] = [set() for _ in per_demand]
-    witness = (0,) * n  # no pebbles serve no non-zero demand
     k = 1
     while True:
         if unit_bound is not None and k > unit_bound:
             raise PebblingError(
                 f"sweep passed the proven upper bound {unit_bound}; solver bug"
             )
-        cur: list[set[tuple[int, ...]]] = [set() for _ in per_demand]
-        first_fail: tuple[int, ...] | None = None
-        for counts in compositions_colex(k, n):
-            checked += 1
-            if checked > config_cap:
-                raise BudgetExceeded(
-                    f"enumerated more than {config_cap} configurations"
-                )
-            good = True
-            for j in per_demand:
-                base = prev[j]
-                for i, x in enumerate(counts):
-                    if x and counts[:i] + (x - 1,) + counts[i + 1:] in base:
-                        break
-                else:
-                    if not is_cover_solvable(
-                        g, Configuration(counts), demands[j], node_cap=node_cap
-                    ).solvable:
-                        good = False
-                        continue
-                cur[j].add(counts)
-            if not good and first_fail is None:
-                first_fail = counts
-        if first_fail is None:
+        checked += comb(k + n - 1, n - 1)
+        if checked > config_cap:
+            raise BudgetExceeded(f"sweep covers more than {config_cap} configurations")
+        grown: list[set[tuple[int, ...]]] = []
+        for j in range(len(demands)):
+            below = Counter(
+                f[:i] + (f[i] + 1,) + f[i + 1:] for f in failing[j] for i in range(n)
+            )
+            grown.append({
+                c
+                for c, hits in below.items()
+                if hits == n - c.count(0)
+                and not is_cover_solvable(
+                    g, Configuration(c), demands[j], node_cap=node_cap
+                ).solvable
+            })
+        if not any(grown):
+            witness = min(set().union(*failing), key=lambda c: c[::-1])
             return NumberResult(k, Configuration(witness), checked)
-        witness = first_fail
-        prev = cur
+        failing = grown
         k += 1
 
 

@@ -1,8 +1,11 @@
+import importlib.util
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from pebbling import (
+    BudgetExceeded,
     Configuration,
     Demand,
     Graph,
@@ -13,24 +16,29 @@ from pebbling import (
     reachability_number,
     stacking_lower_bound,
 )
-from pebbling.numbers import compositions_colex
-from universe import compositions
+from universe import compositions, connected_graphs, reference_threshold
 
+NUMBER_TABLE = Path(__file__).resolve().parents[1] / "scripts" / "number_table.py"
 
-class TestCompositionsColex:
-    def test_order(self):
-        assert list(compositions_colex(1, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-    def test_counts(self):
-        assert sum(1 for _ in compositions_colex(5, 4)) == comb(8, 3)
-
-    def test_matches_recursive_reference(self):
-        # total 0 has a single all-zero composition
-        for total in range(10):
-            for parts in range(1, 8):
-                assert list(compositions_colex(total, parts)) == list(
-                    compositions(total, parts)
-                )
+# output of scripts/number_table.py --max-size 5, pinned from a plain colex
+# enumeration of every configuration
+NUMBER_TABLE_5 = """\
+  graph   n  gamma(U)   pi  extremal (gamma)
+    P_2   2         3    2  (2, 0)
+    P_3   3         7    4  (6, 0, 0)
+    P_4   4        15    8  (14, 0, 0, 0)
+    P_5   5        31   16  (30, 0, 0, 0, 0)
+    C_3   3         5    3  (4, 0, 0)
+    C_4   4         9    4  (8, 0, 0, 0)
+    C_5   5        13    5  (12, 0, 0, 0, 0)
+    K_2   2         3    2  (2, 0)
+    K_3   3         5    3  (4, 0, 0)
+    K_4   4         7    4  (6, 0, 0, 0)
+    K_5   5         9    5  (8, 0, 0, 0, 0)
+  K_1,2   3         7    4  (0, 6, 0)
+  K_1,3   4        11    5  (0, 10, 0, 0)
+  K_1,4   5        15    6  (0, 14, 0, 0, 0)
+"""
 
 
 class TestCoverPebblingNumber:
@@ -51,8 +59,6 @@ class TestCoverPebblingNumber:
             cover_pebbling_number(Graph.complete(2), Demand.zero(2))
 
     def test_config_cap_raises(self):
-        from pebbling import BudgetExceeded
-
         with pytest.raises(BudgetExceeded):
             cover_pebbling_number(Graph.path(4), Demand.unit(4), config_cap=10)
 
@@ -68,11 +74,11 @@ class TestCoverPebblingNumber:
         g = Graph.complete(2)
         d = Demand.unit(2)
         value = cover_pebbling_number(g, d).value
-        for counts in compositions_colex(value, 2):
+        for counts in compositions(value, 2):
             assert oracle_solvable(g, Configuration(counts), d)
         assert not all(
             oracle_solvable(g, Configuration(counts), d)
-            for counts in compositions_colex(value - 1, 2)
+            for counts in compositions(value - 1, 2)
         )
 
     def test_demand_monotonicity(self):
@@ -105,6 +111,62 @@ class TestThresholdSweep:
             assert pebbling_number(g).value == max(
                 reachability_number(g, v).value for v in range(g.n)
             )
+
+
+class TestFrontierAgreement:
+    """The frontier sweep against plain enumeration with no dominance."""
+
+    GRAPHS = (
+        *connected_graphs(1),
+        *connected_graphs(2),
+        *connected_graphs(3),
+        Graph.path(4),
+        Graph.cycle(4),
+        Graph.star(3),
+        Graph.complete(4),
+    )
+
+    @staticmethod
+    def same(g, demands, res):
+        assert (
+            res.value,
+            res.extremal_config.counts,
+            res.configs_checked,
+        ) == reference_threshold(g, demands)
+
+    def test_cover_pebbling_numbers(self):
+        for g in self.GRAPHS:
+            for d in (Demand.unit(g.n), *(Demand.reach(g.n, v) for v in range(g.n))):
+                self.same(g, [d], cover_pebbling_number(g, d))
+
+    def test_pebbling_numbers(self):
+        for g in self.GRAPHS:
+            reach = [Demand.reach(g.n, v) for v in range(g.n)]
+            self.same(g, reach, pebbling_number(g))
+
+    def test_number_table_is_unchanged(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("number_table", NUMBER_TABLE)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr("sys.argv", ["number_table.py", "--max-size", "5"])
+        assert script.main() == 0
+        assert capsys.readouterr().out == NUMBER_TABLE_5
+
+
+class TestConfigCap:
+    """The cap bounds the configurations of sizes 1 .. value, all counted."""
+
+    def test_cover_pebbling_number_boundary(self):
+        g, d = Graph.path(4), Demand.unit(4)
+        assert cover_pebbling_number(g, d, config_cap=comb(19, 4) - 1).value == 15
+        with pytest.raises(BudgetExceeded):
+            cover_pebbling_number(g, d, config_cap=comb(19, 4) - 2)
+
+    def test_pebbling_number_boundary(self):
+        g = Graph.cycle(4)
+        assert pebbling_number(g, config_cap=comb(8, 4) - 1).value == 4
+        with pytest.raises(BudgetExceeded):
+            pebbling_number(g, config_cap=comb(8, 4) - 2)
 
 
 class TestReachabilityNumber:

@@ -11,6 +11,7 @@ from pebbling import (
     Graph,
     MoveList,
     apply_moves,
+    cover_pebbling_number,
     gamma,
     gamma_witness,
     is_cover_solvable,
@@ -21,6 +22,7 @@ from pebbling import (
     verify_solution,
 )
 from pebbling.solver import search_plan
+from universe import reference_threshold
 
 
 @st.composite
@@ -170,6 +172,21 @@ def test_normalize_acyclic_properties(case, data):
 def test_tree_solver_agrees_with_oracle(case):
     g, c, d = case
     assert solve_tree(g, c, d) == oracle_solvable(g, c, d)
+
+
+@given(connected_graphs(max_n=4), st.data())
+@settings(deadline=None)
+def test_frontier_sweep_matches_plain_enumeration(g, data):
+    # values, colex-first witnesses and configuration counts of the frontier
+    # sweep equal those of sending every configuration to the solver
+    spots = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    d = Demand(tuple(spots.count(v) for v in range(g.n)))
+    res = cover_pebbling_number(g, d)
+    assert (
+        res.value,
+        res.extremal_config.counts,
+        res.configs_checked,
+    ) == reference_threshold(g, [d])
 
 
 @given(instances())

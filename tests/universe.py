@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from pebbling import Configuration, Demand, Graph
+from pebbling import Configuration, Demand, Graph, is_cover_solvable
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +30,31 @@ def compositions(total: int, parts: int):
     for last in range(total + 1):
         for head in compositions(total - last, parts - 1):
             yield head + (last,)
+
+
+def reference_threshold(g: Graph, demands) -> tuple[int, tuple[int, ...], int]:
+    """(value, extremal counts, configurations counted) by plain enumeration.
+
+    Sizes 1, 2, ... in turn; every configuration goes to the solver for every
+    demand, with no dominance, until one fails.  A size passes when none
+    fails; the witness is the colex-first failure of the last failing size.
+    """
+    witness = (0,) * g.n
+    checked = 0
+    k = 1
+    while True:
+        first_fail = None
+        for counts in compositions(k, g.n):
+            checked += 1
+            c = Configuration(counts)
+            if first_fail is None and not all(
+                is_cover_solvable(g, c, d).solvable for d in demands
+            ):
+                first_fail = counts
+        if first_fail is None:
+            return k, witness, checked
+        witness = first_fail
+        k += 1
 
 
 def small_universe(max_n: int = 4, max_pebbles: int = 5):
