@@ -344,8 +344,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PebblingError, ValueError, KeyError, FileNotFoundError) as exc:
-        # every other refusal is about the input: never exit 1, "unsolvable"
+    except (PebblingError, ValueError, KeyError, OSError) as exc:
+        # every other refusal is about the input, an unreadable path included:
+        # never exit 1, "unsolvable"
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

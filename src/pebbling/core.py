@@ -55,12 +55,11 @@ class Graph:
     at the I/O boundary.  All-pairs distances and the diameter are computed
     once by BFS at construction, so distance queries are table lookups.
     Instances are immutable after construction and safe to share across
-    threads; the two lazily filled caches (directed edges, and the solver's
-    search plan kept by :func:`pebbling.solver.search_plan`) only ever
-    receive equal values.
+    threads; the one lazily filled cache, the solver's search plan kept by
+    :func:`pebbling.solver.search_plan`, only ever receives equal values.
     """
 
-    __slots__ = ("n", "edges", "diameter", "_adj", "_dist", "_directed", "_plan")
+    __slots__ = ("n", "edges", "diameter", "_adj", "_dist", "_plan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -81,7 +80,6 @@ class Graph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._dist = tuple(self._bfs(v) for v in range(n))
         self.diameter = max(max(row) for row in self._dist)
-        self._directed: tuple[tuple[int, int], ...] | None = None
         self._plan: SearchPlan | None = None
 
     def _bfs(self, source: int) -> tuple[int, ...]:
@@ -118,10 +116,8 @@ class Graph:
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
         """Both orientations of every edge, ascending by (from, to)."""
-        if self._directed is None:
-            both = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
-            self._directed = tuple(sorted(both))
-        return self._directed
+        both = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
+        return tuple(sorted(both))
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph on ``keep``, plus the old-index -> new-index map.
@@ -299,10 +295,6 @@ class MoveList:
     @property
     def total_moves(self) -> int:
         return sum(q for _, _, q in self.moves)
-
-    def support(self) -> tuple[tuple[int, int], ...]:
-        """Directed pairs carrying at least one move."""
-        return tuple((u, w) for u, w, _ in self.moves)
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.moves)

@@ -17,8 +17,9 @@ Two independent engines answer the same question:
   (from, to) order with higher counts tried first, restricted to cycle-free
   supports; partial assignments are pruned as soon as the outstanding
   per-vertex deficits exceed the remaining budget, a vertex with no
-  incoming edges left cannot reach its demand, or an exact potential (full
-  or restricted to the still-assignable arcs) goes negative anywhere.
+  incoming edges left cannot reach its demand, the exact potential goes
+  negative anywhere, or a deficit has a negative potential over the
+  still-assignable arcs that close no 2-cycle.
 
 Trees additionally get a linear-step decision (:func:`solve_tree`) by
 repeatedly folding a leaf's surplus (halved, floored) or deficit (doubled)
@@ -150,14 +151,13 @@ class SearchPlan(NamedTuple):
     """The tables of :func:`is_cover_solvable` that depend only on the graph.
 
     Built once per graph by :func:`search_plan` and kept on it, so a number
-    sweep over thousands of configurations pays for them once.  Read-only.
+    sweep over thousands of configurations pays for them once.  Its size is
+    O(arcs * n), all in ``edge_delta``.  Read-only.
     """
 
     edges: tuple[tuple[int, int], ...]  # branching order, ascending (from, to)
     edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
-    res_weight: list[list[list[int]]]  # [p][z][x]: weights over the arcs edges[p:]
-    rev_adj: list[list[tuple[int, ...]]]  # [p][a]: tails of the arcs edges[p:] into a
-    in_pending: tuple[int, ...]  # arcs into each vertex
+    into: list[tuple[tuple[int, int], ...]]  # [a]: (u, p) per arc edges[p] = (u, a), by p
 
 
 def search_plan(g: Graph) -> SearchPlan:
@@ -176,39 +176,10 @@ def _build_plan(g: Graph) -> SearchPlan:
     edge_delta = [
         [weight[w][z] - 2 * weight[u][z] for z in range(n)] for u, w in edges
     ]
-
-    # Position-restricted potentials: edges are assigned in one fixed order,
-    # so at position p only the arcs edges[p:] remain usable.  A deficit at z
-    # can then be served only along remaining arcs, halving per step; if the
-    # restricted potential sum(val[x] * 2**-arcdist_p(x -> z)) is negative,
-    # no completion fixes z.  arcdist is a directed BFS over reversed
-    # remaining arcs; unreachable vertices weigh zero.
-    by_dist = [1 << (n - k) for k in range(n)]  # rows share these int objects
-    res_weight: list[list[list[int]]] = []
-    rev_adj: list[list[tuple[int, ...]]] = []
-    for p in range(len(edges) + 1):
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for u, w in edges[p:]:
-            rev[w].append(u)
-        rev_adj.append([tuple(rev[a]) for a in range(n)])
-        per_z: list[list[int]] = []
-        for z in range(n):
-            dist = [-1] * n
-            dist[z] = 0
-            queue = deque([z])
-            while queue:
-                a = queue.popleft()
-                for b in rev[a]:
-                    if dist[b] < 0:
-                        dist[b] = dist[a] + 1
-                        queue.append(b)
-            per_z.append([0 if k < 0 else by_dist[k] for k in dist])
-        res_weight.append(per_z)
-
-    in_pending = [0] * n
-    for _, w in edges:
-        in_pending[w] += 1
-    return SearchPlan(edges, edge_delta, res_weight, rev_adj, tuple(in_pending))
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, (u, w) in enumerate(edges):
+        into[w].append((u, p))
+    return SearchPlan(edges, edge_delta, [tuple(arcs) for arcs in into])
 
 
 def is_cover_solvable(
@@ -305,12 +276,11 @@ def _search(
     """
     edges = plan.edges
     edge_delta = plan.edge_delta
-    res_weight = plan.res_weight
-    rev_adj = plan.rev_adj
+    into = plan.into
     m_edges = len(edges)
     n = len(val)
     rng_n = range(n)
-    in_pending = list(plan.in_pending)
+    in_pending = [len(arcs) for arcs in into]
     succ: list[set[int]] = [set() for _ in rng_n]
     counts = [0] * m_edges
     def_sum = sum(-x for x in val if x < 0)
@@ -328,34 +298,24 @@ def _search(
             if depth > max_depth:
                 max_depth = depth
             if p < m_edges:
-                # every deficit must still be coverable through the remaining arcs
-                per_z = res_weight[p]
-                rev = rev_adj[p]
+                # every deficit must still be coverable through the remaining
+                # arcs, edges[p:], halving per step: if sum(val[x] * 2**-dist(x,
+                # z)) over the x that reach z along them is negative, no
+                # completion fixes z.  An arc whose reverse already carries
+                # moves would close a 2-cycle, so it cannot serve z either.
                 for z in rng_n:
                     if val[z] < 0:
-                        row = per_z[z]
-                        total = 0
-                        for x in rng_n:
-                            vx = val[x]
-                            if vx:
-                                total += vx * row[x]
-                        if total < 0:
-                            break
-                        # sharper pass: an arc whose reverse already carries
-                        # moves would close a 2-cycle, so it cannot serve
-                        # this deficit
                         dist = [-1] * n
                         dist[z] = 0
                         queue = [z]
                         total = 0
-                        shift = n
                         while queue:
                             nxt: list[int] = []
                             for a in queue:
-                                total += val[a] << (shift - dist[a])
+                                total += val[a] << (n - dist[a])
                                 sa = succ[a]
-                                for b in rev[a]:
-                                    if dist[b] < 0 and b not in sa:
+                                for b, pos in into[a]:
+                                    if pos >= p and dist[b] < 0 and b not in sa:
                                         dist[b] = dist[a] + 1
                                         nxt.append(b)
                             queue = nxt
@@ -426,6 +386,8 @@ def _search(
                 ndef += vw
             if nvw < 0:
                 ndef -= nvw
+            # two O(1) checks that prune nothing the potential below misses,
+            # but reject a child before its O(n) potential update and push
             if ndef > r - q:
                 continue
             if in_pending[u] == 0 and nvu < 0:
@@ -456,29 +418,31 @@ def _search(
 
 
 def _support_cycle(succ: dict[int, list[int]]) -> list[int] | None:
-    """Some directed cycle of the support digraph, as a vertex list."""
-    color: dict[int, int] = {}
-    stack_path: list[int] = []
+    """Some directed cycle of the support digraph, as a vertex list.
 
-    def dfs(x: int) -> list[int] | None:
-        color[x] = 1
-        stack_path.append(x)
-        for y in succ.get(x, ()):
-            if color.get(y, 0) == 1:
-                return stack_path[stack_path.index(y):]
-            if color.get(y, 0) == 0:
-                cyc = dfs(y)
-                if cyc is not None:
-                    return cyc
-        color[x] = 2
-        stack_path.pop()
-        return None
-
-    for x in list(succ):
-        if color.get(x, 0) == 0:
-            cyc = dfs(x)
-            if cyc is not None:
-                return cyc
+    Depth-first on an explicit stack, so a support path of any length stays
+    clear of the interpreter's recursion limit.
+    """
+    color: dict[int, int] = {}  # 1 while on the current path, then 2
+    for root in succ:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]  # the unexplored successors along path
+        while pending:
+            for y in pending[-1]:
+                state = color.get(y, 0)
+                if state == 1:
+                    return path[path.index(y):]
+                if state == 0:
+                    color[y] = 1
+                    path.append(y)
+                    pending.append(iter(succ.get(y, ())))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
 
 

@@ -208,3 +208,13 @@ class TestUsageErrors:
 
     def test_missing_file(self):
         assert main(["solve", "--instance", "/nonexistent/file.txt"]) == 2
+
+    def test_directory_argument(self, p3_file, tmp_path, capsys):
+        # a directory used to raise IsADirectoryError: a traceback and exit 1
+        for argv in (
+            ["solve", "--instance", str(tmp_path)],
+            ["verify", "--instance", p3_file, "--certificate", str(tmp_path)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1

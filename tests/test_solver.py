@@ -149,6 +149,15 @@ class TestNormalizeAcyclic:
         assert out == MoveList()
         assert verify_solution(g, c, Demand.unit(3), out)
 
+    def test_long_support_path(self):
+        # one move along every edge of a 1200-vertex path: the cycle search
+        # used to recurse once per vertex and raise RecursionError
+        n = 1200
+        g = Graph.path(n)
+        c = Configuration((2,) + (1,) * (n - 1))
+        ml = MoveList([(i, i + 1, 1) for i in range(n - 1)])
+        assert normalize_acyclic(g, c, Demand((0,) * n), ml) == ml
+
 
 class TestCollapseLeaf:
     def test_surplus_halves_floored(self):
