@@ -65,12 +65,22 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _node_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {text!r}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--instance", metavar="FILE", help="instance file")
     common.add_argument(
         "--node-cap",
-        type=int,
+        type=_node_cap,
         default=10**7,
         metavar="N",
         help="search node cap (default 10^7)",
@@ -229,10 +239,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     records = parse_certificate(_read(args.certificate))
-    try:
-        ml = certificate_to_movelist(instance, records)
-    except KeyError as exc:
-        raise FormatError(1, str(exc))
+    ml = certificate_to_movelist(instance, records)
     try:
         ok = verify_solution(instance.graph, instance.config, instance.demand, ml)
     except EdgeViolation as exc:
@@ -346,8 +353,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BUDGET
     except (PebblingError, ValueError, KeyError, OSError) as exc:
         # every other refusal is about the input, an unreadable path included:
-        # never exit 1, "unsolvable"
-        message = " ".join(str(exc).split())
+        # never exit 1, "unsolvable"; str() of a KeyError is its key's repr
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = " ".join(str(text).split())
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,12 +13,14 @@ Two independent engines answer the same question:
   it never touches the interpreter's recursion limit.  The move budget is
   iteratively deepened (doubling) up to ``|C| - |D|``, past which no list
   can work: each move loses one pebble net, so longer lists cannot end
-  above the demand.  Per-directed-edge counts are branched in ascending
-  (from, to) order with higher counts tried first, restricted to cycle-free
-  supports; partial assignments are pruned as soon as the outstanding
-  per-vertex deficits exceed the remaining budget, a vertex with no
-  incoming edges left cannot reach its demand, the exact potential goes
-  negative anywhere, or a deficit has a negative potential over the
+  above the demand.  Per-directed-edge counts are branched deficit first:
+  the arcs into every vertex short of pebbles, by head and then tail, and
+  then the rest in ascending (from, to) order, so a deficit with no in-arcs
+  left is forced early.  Higher counts are tried first, restricted to
+  cycle-free supports; partial assignments are pruned as soon as the
+  outstanding per-vertex deficits exceed the remaining budget, a vertex
+  with no incoming edges left cannot reach its demand, the exact potential
+  goes negative anywhere, or a deficit has a negative potential over the
   still-assignable arcs that close no 2-cycle.
 
 Trees additionally get a linear-step decision (:func:`solve_tree`) by
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     Configuration,
@@ -155,9 +157,9 @@ class SearchPlan(NamedTuple):
     O(arcs * n), all in ``edge_delta``.  Read-only.
     """
 
-    edges: tuple[tuple[int, int], ...]  # branching order, ascending (from, to)
+    edges: Sequence[tuple[int, int]]  # ascending (from, to); a call reorders it
     edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
-    into: list[tuple[tuple[int, int], ...]]  # [a]: (u, p) per arc edges[p] = (u, a), by p
+    into: list[Sequence[tuple[int, int]]]  # [a]: (u, p) per arc edges[p] = (u, a), by p
 
 
 def search_plan(g: Graph) -> SearchPlan:
@@ -218,7 +220,7 @@ def is_cover_solvable(
         # too few pebbles to ever contain the demand: each move nets -1
         return SolveResult(False, None, None, 0, 0)
 
-    plan = search_plan(g)
+    plan = _deficit_first(search_plan(g), base)
     nodes = 0
     max_depth = 0
     # Deepen the move budget geometrically up to the pebble-loss bound; the
@@ -239,6 +241,27 @@ def is_cover_solvable(
         if level == budget:
             return SolveResult(False, None, None, nodes, max_depth)
         level <<= 1
+
+
+def _deficit_first(plan: SearchPlan, base: list[int]) -> SearchPlan:
+    """``plan`` in this call's branching order, in O(arcs).
+
+    The arcs into each vertex short of pebbles come first, by head and then
+    tail, so the q_min rule forces every deficit early (fail-first); the
+    rest keep the plan's ascending (from, to) order.  ``edge_delta`` rows
+    are shared with ``plan``; ``into`` is rebuilt over the new positions.
+    """
+    edges = plan.edges
+    order = [p for a, x in enumerate(base) if x < 0 for _, p in plan.into[a]]
+    order += [p for p, (_, w) in enumerate(edges) if base[w] >= 0]
+    edge_delta = plan.edge_delta
+    into: list[list[tuple[int, int]]] = [[] for _ in base]
+    for i, p in enumerate(order):
+        u, w = edges[p]
+        into[w].append((u, i))
+    # lists, not tuples: CPython 3.11 parks every freed 20-tuple on a free
+    # list it never reuses, so a fresh tuple per call would pile up there
+    return SearchPlan([edges[p] for p in order], [edge_delta[p] for p in order], into)
 
 
 def _reaches(succ: list[set[int]], a: int, b: int) -> bool:

@@ -206,6 +206,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: elements 7, 8 lie in no set\n"
 
+    def test_negative_node_cap(self, p3_file, capsys):
+        # a negative cap used to start the search and end in exit 3
+        for command in ("solve", "oracle"):
+            assert main([command, "--instance", p3_file, "--node-cap", "-1"]) == 2
+            assert "argument --node-cap" in capsys.readouterr().err
+
+    def test_unknown_vertex_name(self, p3_file, tmp_path, capsys):
+        # printed as the name, not as the repr of a KeyError
+        cert = tmp_path / "c.txt"
+        cert.write_text("move v1 zz 1\n")
+        for argv in (
+            ["reach", "--instance", p3_file, "--target", "zz"],
+            ["verify", "--instance", p3_file, "--certificate", str(cert)],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: unknown vertex name 'zz'\n"
+
     def test_missing_file(self):
         assert main(["solve", "--instance", "/nonexistent/file.txt"]) == 2
 

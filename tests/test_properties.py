@@ -212,3 +212,22 @@ def test_root_witness_equals_gamma_witness(case):
     # negative, and then names the lowest such vertex; otherwise both are None
     g, c, d = case
     assert is_cover_solvable(g, c, d).witness == gamma_witness(g, c, d)
+
+
+@given(instances(max_n=6, max_pebbles=12, max_demand=4), st.data())
+def test_relabelling_keeps_the_verdict(case, data):
+    # the branching order follows the labels and the deficit pattern, so a
+    # relabelled copy searches in another order but must reach the same verdict
+    g, c, d = case
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    hc, hd = [0] * g.n, [0] * g.n
+    for v in range(g.n):
+        hc[perm[v]] = c.counts[v]
+        hd[perm[v]] = d.counts[v]
+    hc, hd = Configuration(tuple(hc)), Demand(tuple(hd))
+    result, relabelled = is_cover_solvable(g, c, d), is_cover_solvable(h, hc, hd)
+    assert result.solvable == relabelled.solvable
+    if result.solvable:
+        assert verify_solution(g, c, d, result.certificate)
+        assert verify_solution(h, hc, hd, relabelled.certificate)

@@ -27,6 +27,17 @@ FIG1 = X4CInstance(
 NO_COVER = X4CInstance(
     2, (frozenset({1, 2, 3, 4}), frozenset({3, 4, 5, 6}), frozenset({4, 5, 7, 8}))
 )
+# Slack 2 (m - n = 2) with no exact cover: the first such n = 2 family that
+# bench/inputs.py's _draw_sets draws from random.Random(1).
+SLACK2_NO = X4CInstance(
+    2,
+    (
+        frozenset({1, 2, 3, 6}),
+        frozenset({2, 4, 6, 7}),
+        frozenset({1, 5, 6, 8}),
+        frozenset({2, 5, 6, 8}),
+    ),
+)
 
 
 class TestX4C:
@@ -221,6 +232,14 @@ class TestRoundTrips:
         red = reduce_to_cover_solvability(FIG1)
         result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**7)
         assert result.solvable
+
+    def test_slack_two_no_instance_closes_under_the_ladder_cap(self):
+        # the x4c-ladder cap; under branching in plain (from, to) order this
+        # instance runs past it
+        assert x4c_solve(SLACK2_NO) is None
+        red = reduce_to_cover_solvability(SLACK2_NO)
+        result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=3_000_000)
+        assert not result.solvable
 
     def test_cover_certificates_verify_across_small_instances(self):
         import random

@@ -21,6 +21,7 @@ from pebbling import (
     solve_tree,
     verify_solution,
 )
+from pebbling.solver import _deficit_first, search_plan
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
@@ -113,6 +114,20 @@ class TestIsCoverSolvable:
         result = is_cover_solvable(g, c, d)
         assert sys.getrecursionlimit() == limit
         assert result.solvable and verify_solution(g, c, d, result.certificate)
+
+    def test_deficit_first_order(self):
+        # C_4 with 0 and 2 short: their in-arcs by head then tail, the rest
+        # in plan order
+        g = Graph.cycle(4)
+        plan = search_plan(g)
+        order = _deficit_first(plan, [-1, 3, -2, 0])
+        assert order.edges == [
+            (1, 0), (3, 0), (1, 2), (3, 2), (0, 1), (0, 3), (2, 1), (2, 3)
+        ]
+        for p, arc in enumerate(order.edges):
+            assert order.edge_delta[p] is plan.edge_delta[plan.edges.index(arc)]
+        assert order.into == [[(1, 0), (3, 1)], [(0, 4), (2, 6)],
+                              [(1, 2), (3, 3)], [(0, 5), (2, 7)]]
 
     def test_certificates_verify_and_are_acyclic(self):
         g = Graph.cycle(4)
