@@ -216,6 +216,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
             if x
         },
         "configs_checked": result.configs_checked,
+        "solver_calls": result.solver_calls,
     }
     _emit(args, report, f"{result.value}\n")
     return EXIT_OK

@@ -1,7 +1,14 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pebbling import Demand, Graph, cover_pebbling_number, pebbling_number
 from pebbling.cli import main
 from pebbling.formats import parse_instance, write_instance
 
@@ -110,6 +117,22 @@ class TestNumbers:
             assert main([command, "--instance", p3_file, "--json"]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["command"] == command and doc["value"] == value
+
+    def test_number_and_pi_json_count_solver_calls(self, p3_file, capsys):
+        g = Graph.path(3)
+        for command, result in (
+            ("number", cover_pebbling_number(g, Demand.unit(3))),
+            ("pi", pebbling_number(g)),
+        ):
+            assert main([command, "--instance", p3_file, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["solver_calls"] == result.solver_calls
+            assert doc["configs_checked"] == result.configs_checked
+        # one call per orbit under the end swap of P3
+        assert (
+            cover_pebbling_number(g, Demand.unit(3)).solver_calls,
+            pebbling_number(g).solver_calls,
+        ) == (26, 13)
 
 
 class TestOracleVerifyGamma:
@@ -235,3 +258,82 @@ class TestUsageErrors:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# tokens a mutation may put into an input file or onto the command line;
+# counts stay small so that every number sweep ends quickly
+TOKENS = (
+    "v1", "v2", "v3", "zz", "0", "1", "2", "3", "-1", "1.5", "x", "", "#",
+    "vertices", "edge", "config", "demand", "demand_kind", "unit", "reach:v2",
+    "reach:zz", "move",
+)
+COMMANDS = (
+    ["solve"],
+    ["reach", "--target"],
+    ["canonical"],
+    ["number"],
+    ["number", "--demand-kind"],
+    ["pi"],
+    ["oracle"],
+    ["verify"],
+    ["gamma", "--target"],
+    ["reduce", "x4c-cover"],
+    ["reduce", "x4c-number"],
+    ["reduce", "cover-to-canonical"],
+)
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("drop", "copy", "token", "line", "char")))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "line" or not lines:
+            lines.insert(at, draw(st.lists(st.sampled_from(TOKENS), max_size=4)))
+        elif op == "drop":
+            del lines[at]
+        elif op == "copy":
+            lines.insert(at, list(lines[at]))
+        elif op == "token":
+            line = lines[at] or [""]
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[at] = line
+        else:
+            joined = " ".join(lines[at])
+            cut = draw(st.integers(0, len(joined)))
+            joined = joined[:cut] + draw(st.characters(exclude_categories=("Cs",))) + joined[cut:]
+            lines[at] = joined.split(" ")
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestFuzz:
+    """Any input text ends in a defined exit code, never in a traceback."""
+
+    @given(
+        st.sampled_from(COMMANDS),
+        st.sampled_from(TOKENS),
+        mutated(P3),
+        mutated("move v1 v2 3\nmove v2 v3 1\n"),
+        mutated(FIG1_X4C),
+        st.sampled_from(("0", "50", "2000")),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_subcommand(self, command, token, instance, certificate, x4c, cap, as_json):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, text in (("i", instance), ("c", certificate), ("x", x4c)):
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            argv = [*command, token] if command[-1].startswith("--") else list(command)
+            argv += ["--instance", paths["i"], "--node-cap", cap]
+            if command[0] == "verify":
+                argv += ["--certificate", paths["c"]]
+            if command[0] == "reduce":
+                argv += ["--x4c", paths["x"]]
+            if as_json:
+                argv.append("--json")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2, 3)

@@ -113,8 +113,23 @@ class TestThresholdSweep:
             )
 
 
+K23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+BULL = Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+
+
 class TestFrontierAgreement:
     """The frontier sweep against plain enumeration with no dominance."""
+
+    # five vertices with some symmetry, each with a non-uniform demand that
+    # is equal on two vertices an automorphism swaps
+    PARTLY_SYMMETRIC = (
+        (Graph.cycle(5), (1, 1, 0, 0, 0)),
+        (K23, (0, 0, 1, 1, 0)),
+        (HOUSE, (0, 0, 1, 1, 0)),
+        (BULL, (0, 0, 0, 1, 1)),
+        (Graph.path(5), (0, 1, 0, 1, 0)),
+    )
 
     GRAPHS = (
         *connected_graphs(1),
@@ -144,6 +159,15 @@ class TestFrontierAgreement:
             reach = [Demand.reach(g.n, v) for v in range(g.n)]
             self.same(g, reach, pebbling_number(g))
 
+    def test_partly_symmetric_graphs(self):
+        for g, counts in self.PARTLY_SYMMETRIC:
+            demands = [Demand(counts), *(Demand.reach(5, v) for v in range(5))]
+            if g != Graph.path(5):  # the reference would solve 376,991 configurations
+                demands.append(Demand.unit(5))
+            for d in demands:
+                self.same(g, [d], cover_pebbling_number(g, d))
+            self.same(g, [Demand.reach(5, v) for v in range(5)], pebbling_number(g))
+
     def test_number_table_is_unchanged(self, monkeypatch, capsys):
         spec = importlib.util.spec_from_file_location("number_table", NUMBER_TABLE)
         script = importlib.util.module_from_spec(spec)
@@ -151,6 +175,29 @@ class TestFrontierAgreement:
         monkeypatch.setattr("sys.argv", ["number_table.py", "--max-size", "5"])
         assert script.main() == 0
         assert capsys.readouterr().out == NUMBER_TABLE_5
+
+
+class TestSolverCalls:
+    """One solver call per orbit of candidates under the automorphisms."""
+
+    @pytest.mark.parametrize(
+        "number, calls",
+        [
+            # 10,540 and 768 calls with one call per candidate
+            (lambda: cover_pebbling_number(Graph.cycle(6), Demand.unit(6)), 998),
+            (lambda: pebbling_number(Graph.cycle(6)), 77),
+        ],
+        ids=["gamma(C6)", "pi(C6)"],
+    )
+    def test_c6(self, number, calls, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return is_cover_solvable(*args, **kwargs)
+
+        monkeypatch.setattr("pebbling.numbers.is_cover_solvable", counting)
+        assert number().solver_calls == len(seen) == calls
 
 
 class TestConfigCap:

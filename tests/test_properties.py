@@ -18,6 +18,7 @@ from pebbling import (
     legal_moves,
     normalize_acyclic,
     oracle_solvable,
+    pebbling_number,
     solve_tree,
     verify_solution,
 )
@@ -187,6 +188,29 @@ def test_frontier_sweep_matches_plain_enumeration(g, data):
         res.extremal_config.counts,
         res.configs_checked,
     ) == reference_threshold(g, [d])
+
+
+@given(connected_graphs(max_n=4), st.data())
+@settings(deadline=None)
+def test_relabelling_keeps_the_numbers(g, data):
+    # the sweep settles candidates by automorphism orbits, which must not
+    # lean on the labels: a relabelled graph has the same value and count,
+    # and its witness is the colex-first failure on the relabelled graph
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    spots = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    d = Demand(tuple(spots.count(v) for v in range(g.n)))
+    hd = Demand(tuple(spots.count(perm.index(v)) for v in range(g.n)))
+    for res, moved, demands in (
+        (cover_pebbling_number(g, d), cover_pebbling_number(h, hd), [hd]),
+        (pebbling_number(g), pebbling_number(h), [Demand.reach(g.n, v) for v in range(g.n)]),
+    ):
+        assert (moved.value, moved.configs_checked) == (res.value, res.configs_checked)
+        assert (
+            moved.value,
+            moved.extremal_config.counts,
+            moved.configs_checked,
+        ) == reference_threshold(h, demands)
 
 
 @given(instances())
