@@ -21,7 +21,11 @@ Two independent engines answer the same question:
   outstanding per-vertex deficits exceed the remaining budget, a vertex
   with no incoming edges left cannot reach its demand, the exact potential
   goes negative anywhere, or a deficit has a negative potential over the
-  still-assignable arcs that close no 2-cycle.
+  still-assignable arcs that close no 2-cycle.  That last check walks back
+  from each deficit a layer at a time and stops once its sign is settled:
+  after depth ``d`` each vertex not yet summed weighs at most ``2**(n - d -
+  1)``, so the deficit and surplus not yet summed bound the rest of the
+  sum, and the early verdict is the one the full walk would give.
 
 Trees additionally get a linear-step decision (:func:`solve_tree`) by
 repeatedly folding a leaf's surplus (halved, floored) or deficit (doubled)
@@ -281,6 +285,59 @@ def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
     return False
 
 
+def _uncoverable(
+    into: list[Sequence[tuple[int, int]]], val: list[int], succ: list[set[int]],
+    p: int, def_sum: int, pos_sum: int
+) -> bool:
+    """Is some deficit beyond cover through the remaining arcs, ``edges[p:]``?
+
+    A deficit ``z`` can still be covered only if ``sum(val[x] << (n -
+    dist(x, z)))`` over the ``x`` that reach ``z`` along those arcs is
+    non-negative (halving per step); an arc whose reverse already carries
+    moves would close a 2-cycle, so it cannot serve ``z``.  The BFS walks
+    back from ``z`` and sums each layer as it finds it, before expanding it.
+    Once depth ``d`` is summed, every vertex left weighs at most ``1 << k``,
+    ``k = n - d - 1``, so with ``neg`` and ``pos`` the deficit and surplus
+    not yet summed the full sum lies in ``[total - (neg << k), total + (pos
+    << k)]``; the walk stops once that range is on one side of zero, so the
+    verdict is the full walk's.  ``def_sum`` and ``pos_sum`` are the deficit
+    and surplus of all of ``val``.
+    """
+    n = len(val)
+    for z, vz in enumerate(val):
+        if vz >= 0:
+            continue
+        seen = [False] * n
+        seen[z] = True
+        layer = [z]
+        total = vz << n
+        neg, pos = def_sum + vz, pos_sum  # the deficit and surplus not yet summed
+        k = n - 1
+        while total < neg << k:
+            if total + (pos << k) < 0:
+                return True
+            nxt = []
+            for a in layer:
+                sa = succ[a]
+                for b, q in into[a]:
+                    if q >= p and not seen[b] and b not in sa:
+                        seen[b] = True
+                        nxt.append(b)
+                        x = val[b]
+                        total += x << k
+                        if x < 0:
+                            neg += x
+                        else:
+                            pos -= x
+            if not nxt:
+                break
+            layer = nxt
+            k -= 1
+        if total < 0:  # only when the walk ran out of layers
+            return True
+    return False
+
+
 def _search(
     plan: SearchPlan,
     val: list[int],
@@ -300,13 +357,13 @@ def _search(
     edges = plan.edges
     edge_delta = plan.edge_delta
     into = plan.into
-    m_edges = len(edges)
     n = len(val)
     rng_n = range(n)
     in_pending = [len(arcs) for arcs in into]
     succ: list[set[int]] = [set() for _ in rng_n]
-    counts = [0] * m_edges
+    counts = [0] * len(edges)
     def_sum = sum(-x for x in val if x < 0)
+    val_sum = sum(val)  # sum(val) is val_sum - depth: each move nets -1
     stack: list[tuple] = []
     p = 0
     depth = 0
@@ -320,53 +377,35 @@ def _search(
         if def_sum <= r:
             if depth > max_depth:
                 max_depth = depth
-            if p < m_edges:
-                # every deficit must still be coverable through the remaining
-                # arcs, edges[p:], halving per step: if sum(val[x] * 2**-dist(x,
-                # z)) over the x that reach z along them is negative, no
-                # completion fixes z.  An arc whose reverse already carries
-                # moves would close a 2-cycle, so it cannot serve z either.
-                for z in rng_n:
-                    if val[z] < 0:
-                        dist = [-1] * n
-                        dist[z] = 0
-                        queue = [z]
-                        total = 0
-                        while queue:
-                            nxt: list[int] = []
-                            for a in queue:
-                                total += val[a] << (n - dist[a])
-                                sa = succ[a]
-                                for b, pos in into[a]:
-                                    if pos >= p and dist[b] < 0 and b not in sa:
-                                        dist[b] = dist[a] + 1
-                                        nxt.append(b)
-                            queue = nxt
-                        if total < 0:
-                            break
+            # the 2-cycle pass: every deficit must still be coverable through
+            # the remaining arcs (past the last arc, none is).  Each deficit's
+            # walk stops once the layers left, weighing at most 1 << (n - d -
+            # 1) after depth d, cannot change the sign of its sum, so it
+            # prunes exactly as the full walk would.
+            pos_sum = val_sum - depth + def_sum
+            if not _uncoverable(into, val, succ, p, def_sum, pos_sum):
+                u, w = edges[p]
+                in_pending[w] -= 1
+                vu = val[u]
+                vw = val[w]
+                # q is capped by u's worst-case balance: out-moves cost 2
+                # apiece and at most r - q future moves can feed u back.
+                if in_pending[u] > 0:
+                    q_max = (vu + r) // 3
                 else:
-                    u, w = edges[p]
-                    in_pending[w] -= 1
-                    vu = val[u]
-                    vw = val[w]
-                    # q is capped by u's worst-case balance: out-moves cost 2
-                    # apiece and at most r - q future moves can feed u back.
-                    if in_pending[u] > 0:
-                        q_max = (vu + r) // 3
-                    else:
-                        q_max = vu // 2
-                    if q_max > r:
-                        q_max = r
-                    if q_max > 0 and _reaches(succ, w, u):
-                        q_max = 0  # a positive count here would close a cycle
-                    # w with no later in-edges must be lifted to balance by this edge
-                    q_min = -vw if in_pending[w] == 0 and vw < 0 else 0
-                    if q_max < q_min:
-                        in_pending[w] += 1
-                    else:
-                        delta = edge_delta[p]
-                        q = q_max + 1
-                        backtrack = False
+                    q_max = vu // 2
+                if q_max > r:
+                    q_max = r
+                if q_max > 0 and _reaches(succ, w, u):
+                    q_max = 0  # a positive count here would close a cycle
+                # w with no later in-edges must be lifted to balance by this edge
+                q_min = -vw if in_pending[w] == 0 and vw < 0 else 0
+                if q_max < q_min:
+                    in_pending[w] += 1
+                else:
+                    delta = edge_delta[p]
+                    q = q_max + 1
+                    backtrack = False
 
         # Pick the next count at the deepest open position and descend, or
         # back up a position once its counts run out.

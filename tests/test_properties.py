@@ -22,8 +22,8 @@ from pebbling import (
     solve_tree,
     verify_solution,
 )
-from pebbling.solver import search_plan
-from universe import reference_threshold
+from pebbling.solver import _deficit_first, _uncoverable, search_plan
+from universe import reference_threshold, reference_uncoverable
 
 
 @st.composite
@@ -255,3 +255,27 @@ def test_relabelling_keeps_the_verdict(case, data):
     if result.solvable:
         assert verify_solution(g, c, d, result.certificate)
         assert verify_solution(h, hc, hd, relabelled.certificate)
+
+
+@given(connected_graphs(max_n=7), st.randoms(use_true_random=True))
+def test_uncoverable_matches_the_full_walk(g, rng):
+    # the pass stops each deficit's walk once its sign is settled; on any
+    # state it must give the verdict of the walk over every layer.  A sign
+    # that flips late needs several deficits near the margin, about one
+    # state in a few thousand, so each graph gets 200 states.
+    for _ in range(200):
+        spread = rng.choice((2, 4, 8))
+        plan = _deficit_first(
+            search_plan(g), [rng.randint(-spread, spread) for _ in range(g.n)]
+        )
+        val = [rng.randint(-spread, spread) for _ in range(g.n)]
+        p = rng.randint(0, len(plan.edges))
+        succ = [set() for _ in range(g.n)]
+        for u, w in plan.edges[:p]:
+            if rng.random() < 0.3:
+                succ[u].add(w)
+        def_sum = sum(-x for x in val if x < 0)
+        pos_sum = sum(x for x in val if x > 0)
+        assert _uncoverable(plan.into, val, succ, p, def_sum, pos_sum) == (
+            reference_uncoverable(plan.into, val, succ, p)
+        )

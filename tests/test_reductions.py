@@ -240,6 +240,7 @@ class TestRoundTrips:
         red = reduce_to_cover_solvability(SLACK2_NO)
         result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=3_000_000)
         assert not result.solvable
+        assert result.nodes_expanded == 129_972
 
     def test_cover_certificates_verify_across_small_instances(self):
         import random

@@ -21,7 +21,8 @@ from pebbling import (
     solve_tree,
     verify_solution,
 )
-from pebbling.solver import _deficit_first, search_plan
+from pebbling.solver import _deficit_first, _uncoverable, search_plan
+from universe import reference_uncoverable
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
@@ -128,6 +129,18 @@ class TestIsCoverSolvable:
             assert order.edge_delta[p] is plan.edge_delta[plan.edges.index(arc)]
         assert order.into == [[(1, 0), (3, 1)], [(0, 4), (2, 6)],
                               [(1, 2), (3, 3)], [(0, 5), (2, 7)]]
+
+    def test_uncoverable_waits_for_deficits_one_layer_deeper(self):
+        # centre 0 holds 7 pebbles for leaves 2, 3, 4 owing 1, 3 and 2.  The
+        # walk from 3 reads +16 after one layer, but 2 and 4 owe 3 more a
+        # layer further, weighing 8 each: -8.  A pass test that stopped while
+        # that deficit could still flip the sign would keep this node.
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
+        val = [7, 0, -1, -3, -2]
+        into = _deficit_first(search_plan(g), val).into
+        succ = [set() for _ in val]
+        assert reference_uncoverable(into, val, succ, 0)
+        assert _uncoverable(into, val, succ, 0, 6, 7)
 
     def test_certificates_verify_and_are_acyclic(self):
         g = Graph.cycle(4)

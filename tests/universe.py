@@ -90,3 +90,32 @@ def random_spread(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
     for _ in range(total):
         counts[rng.randrange(n)] += 1
     return tuple(counts)
+
+
+def reference_uncoverable(into, val, succ, p) -> bool:
+    """The solver's 2-cycle pass as a plain BFS that walks every layer.
+
+    A deficit ``z`` fails when ``sum(val[x] << (n - dist(x, z)))`` is
+    negative over the ``x`` that reach ``z`` along the arcs at positions
+    ``>= p`` (``into[a]`` holds ``(tail, position)`` per arc into ``a``),
+    leaving out any arc ``b -> a`` whose reverse is in the support ``succ``.
+    """
+    n = len(val)
+    for z in range(n):
+        if val[z] < 0:
+            dist = [-1] * n
+            dist[z] = 0
+            queue = [z]
+            total = 0
+            while queue:
+                nxt = []
+                for a in queue:
+                    total += val[a] << (n - dist[a])
+                    for b, pos in into[a]:
+                        if pos >= p and dist[b] < 0 and b not in succ[a]:
+                            dist[b] = dist[a] + 1
+                            nxt.append(b)
+                queue = nxt
+            if total < 0:
+                return True
+    return False
