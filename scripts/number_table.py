@@ -27,15 +27,12 @@ def families(max_size: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-size", type=int, default=5)
-    parser.add_argument("--node-cap", type=int, default=10**7)
     args = parser.parse_args()
 
     print(f"{'graph':>7} {'n':>3} {'gamma(U)':>9} {'pi':>4}  extremal (gamma)")
     for name, g in families(args.max_size):
-        gamma_res = cover_pebbling_number(
-            g, Demand.unit(g.n), node_cap=args.node_cap
-        )
-        pi_res = pebbling_number(g, node_cap=args.node_cap)
+        gamma_res = cover_pebbling_number(g, Demand.unit(g.n))
+        pi_res = pebbling_number(g)
         extremal = gamma_res.extremal_config.counts
         print(
             f"{name:>7} {g.n:>3} {gamma_res.value:>9} {pi_res.value:>4}  {extremal}"

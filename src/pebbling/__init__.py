@@ -7,6 +7,7 @@ and witness configurations.
 """
 
 from .core import (
+    BudgetExceeded,
     Configuration,
     Demand,
     DimensionMismatch,
@@ -42,7 +43,6 @@ from .reductions import (
     x4c_solve,
 )
 from .solver import (
-    BudgetExceeded,
     CanonicalResult,
     NotALeaf,
     NotASolution,

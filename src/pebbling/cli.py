@@ -27,6 +27,7 @@ import sys
 from typing import Sequence
 
 from .core import (
+    BudgetExceeded,
     Demand,
     EdgeViolation,
     PebblingError,
@@ -53,7 +54,6 @@ from .reductions import (
 )
 from .solver import (
     DEFAULT_STATE_CAP,
-    BudgetExceeded,
     is_canonical_solvable,
     is_cover_solvable,
     oracle_solvable,
@@ -201,12 +201,12 @@ def _resolve_demand_kind(instance: Instance, kind: str) -> Demand:
 def _cmd_number(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     if args.command == "pi":
-        result = pebbling_number(instance.graph, node_cap=args.node_cap)
+        result = pebbling_number(instance.graph)
     else:
         d = instance.demand
         if args.demand_kind:
             d = _resolve_demand_kind(instance, args.demand_kind)
-        result = cover_pebbling_number(instance.graph, d, node_cap=args.node_cap)
+        result = cover_pebbling_number(instance.graph, d)
     report = {
         "command": args.command,
         "value": result.value,
@@ -216,7 +216,6 @@ def _cmd_number(args: argparse.Namespace) -> int:
             if x
         },
         "configs_checked": result.configs_checked,
-        "solver_calls": result.solver_calls,
     }
     _emit(args, report, f"{result.value}\n")
     return EXIT_OK

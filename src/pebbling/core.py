@@ -40,6 +40,10 @@ class PebblingError(Exception):
     """Base class for errors raised by this package."""
 
 
+class BudgetExceeded(PebblingError):
+    """A search or sweep hit its configured cap before reaching a verdict."""
+
+
 class DimensionMismatch(PebblingError):
     """Configuration, demand, or move list indexes a different vertex set."""
 

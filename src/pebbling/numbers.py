@@ -15,29 +15,25 @@ size that fail it, starting from the empty configuration.  A configuration
 of the next size can fail only if every one-pebble removal of it fails too
 (otherwise it contains a solvable configuration, and solvability is upward
 closed), so only the one-pebble extensions of failures all of whose
-down-neighbours fail are built and sent to the exact solver; every other
-configuration of that size is solvable by dominance and is never built.
-Because the failing set of each size is complete, these are exactly the
-configurations that a full enumeration with a dominance test over the
-previous size would send to the solver.  The reported extremal
-configuration is the colex-least failure at size value - 1, and
-``configs_checked`` counts every configuration of sizes 1 .. value, all of
-them settled, built or not.
+down-neighbours fail are built and decided; every other configuration of
+that size is solvable by dominance and is never built.  The reported
+extremal configuration is the colex-least failure at size value - 1, over
+the failing sets of every demand, and ``configs_checked`` counts every
+configuration of sizes 1 .. value, all of them settled, built or not.
 
-The sweep is quotiented by graph automorphisms.  For an automorphism p of
-the graph, a configuration c fails a demand d exactly when c∘p fails d∘p,
-so the candidates of one size split into orbits under the automorphisms
-that fix the demand, and one solver call per orbit settles all of it; the
-failing sets stay whole, so the extension count above is unchanged.  For
-the pebbling number only one target per vertex orbit of the automorphism
-group is swept, and the witness is taken over the failing sets of every
-target, rebuilt from the swept ones.  :func:`automorphism_generators` finds
-the automorphisms as a generating set, never the whole group, by a
-backtracking search over vertices refined by colour and distances.
+Each built configuration is decided by one move, with no search.  A
+configuration c solves a demand d exactly when c >= d or some one-move
+successor c - 2*e_u + e_w (c_u >= 2, uw an edge) solves d: if c does not
+hold d, a solution starts with some move and the rest of it solves d from
+that move's successor, and a solution from a successor extends back by its
+move.  A successor has one pebble fewer, and the failing set of the
+previous size is complete, so c fails exactly when it does not hold d and
+every successor is in that set.  This is the breadth-first oracle's
+recurrence, taken one size at a time.
 
 :func:`stacking_lower_bound` is a proven lower bound on the cover pebbling
-number, not a starting point: a sweep from it would have no failing set for
-its first size and would send every configuration there to the solver.
+number, not a starting point: a sweep from it would have no failing set of
+the size below its first size to decide that size by.
 
 This is desk-scale machinery: the failing sets grow with the number of
 compositions of k into n parts, so expect |V| up to about 8 and values up to
@@ -49,11 +45,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
-from typing import Sequence
 
-from .core import Configuration, Demand, Graph, PebblingError
-from .solver import DEFAULT_NODE_CAP, BudgetExceeded, is_cover_solvable
+from .core import BudgetExceeded, Configuration, Demand, Graph, PebblingError
 
 DEFAULT_CONFIG_CAP = 10_000_000
 
@@ -69,14 +62,12 @@ class NumberResult:
     ``extremal_config`` has size ``value - 1`` and fails the defining
     property; every configuration of size ``value`` passes.
     ``configs_checked`` counts the configurations of sizes 1 .. ``value``,
-    each settled by the solver, by dominance or by symmetry;
-    ``solver_calls`` counts the exact searches among them.
+    each settled by dominance or by one move.
     """
 
     value: int
     extremal_config: Configuration
     configs_checked: int
-    solver_calls: int
 
 
 def stacking_lower_bound(g: Graph, d: Demand) -> int:
@@ -99,147 +90,79 @@ def stacking_lower_bound(g: Graph, d: Demand) -> int:
     )
 
 
-def automorphism_generators(g: Graph, colour: Sequence) -> list[tuple[int, ...]]:
-    """Generators of the automorphisms of ``g`` that keep ``colour``.
-
-    A permutation ``p`` sends vertex ``v`` to ``p[v]``.  The base is
-    0, 1, ..., n - 1, worked from the last level up: at level i every
-    generator found so far fixes 0 .. i - 1, and for each image of i outside
-    their orbit of i a backtracking search looks for one automorphism that
-    fixes 0 .. i - 1 and sends i there.  So the result is a strong generating
-    set with at most one permutation per (level, image), and the group order
-    is the product over levels of the orbit of i under the generators that
-    fix 0 .. i - 1.  A vertex may only go to one of the same colour and
-    sorted distance row, and a partial map must keep every distance between
-    mapped vertices, so a complete map is an automorphism.
-    """
-    n, dist = g.n, g._dist
-    key = [(colour[v], *sorted(dist[v])) for v in range(n)]
-    groups: dict[tuple, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(key[v], []).append(v)
-    like = [groups[k] for k in key]
-    gens: list[tuple[int, ...]] = []
-    for i in reversed(range(n)):
-        orbit = {i}  # the generators of deeper levels fix i
-        for w in like[i]:
-            if w > i and w not in orbit:
-                p = _sending(dist, like, i, w)
-                if p is not None:
-                    gens.append(p)
-                    orbit = _closure(orbit, [q.__getitem__ for q in gens])
-    return gens
-
-
-def _sending(dist, like, i: int, w: int) -> tuple[int, ...] | None:
-    """An automorphism that fixes 0 .. i - 1 and sends i to w, or None.
-
-    Each later vertex tries itself first, which finds the transpositions
-    of a complete graph without a scan.
-    """
-    image, used, options = list(range(i)), set(range(i)), [iter([w])]
-    while options:
-        v = len(image)
-        u = next((u for u in options[-1] if u not in used and all(
-            dist[v][x] == dist[u][image[x]] for x in range(v))), None)
-        if u is None:
-            options.pop()
-            if options:
-                used.discard(image.pop())
-        elif v + 1 == len(dist):
-            return (*image, u)
-        else:
-            image.append(u)
-            used.add(u)
-            options.append(iter([v + 1, *like[v + 1]]))
-    return None
-
-
-def _closure(xs, maps) -> set:
-    """Everything reached from ``xs`` by the maps, ``xs`` included."""
-    seen, todo = set(xs), list(xs)
-    while todo:
-        y = todo.pop()
-        for f in maps:
-            z = f(y)
-            if z not in seen:
-                seen.add(z)
-                todo.append(z)
-    return seen
-
-
-def _movers(g: Graph, colour: Sequence) -> list:
-    """c -> c∘p for each generator p: a configuration carried by p."""
-    return [itemgetter(*p) for p in automorphism_generators(g, colour)]
-
-
 def _threshold(
     g: Graph,
     demands: list[Demand],
     *,
-    node_cap: int,
     config_cap: int,
     unit_bound: int | None,
 ) -> NumberResult:
     """Least k such that every size-k configuration solves every demand.
 
-    Every automorphism that keeps the sum of the demands must permute the
-    list, as it does for one demand and for the single-pebble demands of
-    all vertices.  One demand per orbit of the list is swept, keeping the
-    configurations of the previous size that fail it.  A size-k
-    configuration is a candidate only when every one-pebble removal of it
-    is in that failing set: its extensions are counted, and a count equal
-    to its number of non-zero slots means no solvable configuration lies
-    below it.  The candidates split into orbits under the automorphisms
-    that fix the demand, and the solver decides one member of each.
-    ``configs_checked`` and ``config_cap`` count all configurations of
-    sizes 1 .. k.  ``unit_bound`` is a proven ceiling on the value; passing
-    it means a solver bug, not a larger answer.
+    Keeps, per demand, the configurations of the previous size that fail
+    it.  A size-k configuration is a candidate for a demand only when every
+    one-pebble removal of it is in that failing set: its extensions are
+    counted, and a count equal to its number of non-zero slots means no
+    solvable configuration lies below it.  :func:`_fails` decides each
+    candidate from the same failing set.  ``configs_checked`` and
+    ``config_cap`` count all configurations of sizes 1 .. k.
+    ``unit_bound`` is a proven ceiling on the value; passing it means a
+    bug in the sweep, not a larger answer.
     """
     n = g.n
-    whole = _movers(g, [sum(col) for col in zip(*(d.counts for d in demands))])
-    sweeps, seen = [], set()
-    for d in demands:
-        if d.counts not in seen:
-            seen |= _closure([d.counts], whole)
-            sweeps.append((d, _movers(g, d.counts)))
-    failing: list[set[tuple[int, ...]]] = [{(0,) * n} for _ in sweeps]
-    checked = calls = 0
+    failing: list[set[tuple[int, ...]]] = [{(0,) * n} for _ in demands]
+    checked = 0
     k = 1
     while True:
         if unit_bound is not None and k > unit_bound:
             raise PebblingError(
-                f"sweep passed the proven upper bound {unit_bound}; solver bug"
+                f"sweep passed the proven upper bound {unit_bound}; bug in the sweep"
             )
         checked += comb(k + n - 1, n - 1)
         if checked > config_cap:
             raise BudgetExceeded(f"sweep covers more than {config_cap} configurations")
         grown: list[set[tuple[int, ...]]] = []
-        for (d, stab), fail in zip(sweeps, failing):
+        for d, fail in zip(demands, failing):
             below = Counter(f[:i] + (f[i] + 1,) + f[i + 1:] for f in fail for i in range(n))
-            settled: set[tuple[int, ...]] = set()
-            grown.append(set())
-            for c, hits in below.items():
-                if hits == n - c.count(0) and c not in settled:
-                    orbit = _closure([c], stab)
-                    settled |= orbit
-                    calls += 1
-                    if not is_cover_solvable(g, Configuration(c), d, node_cap=node_cap).solvable:
-                        grown[-1] |= orbit
+            grown.append({
+                c
+                for c, hits in below.items()
+                if hits == n - c.count(0) and _fails(g, c, d.counts, fail)
+            })
         if not any(grown):
-            # the failures of every listed demand: the swept ones carried
-            # by the automorphisms that keep the list
-            witness = min(_closure(set().union(*failing), whole), key=lambda c: c[::-1])
-            return NumberResult(k, Configuration(witness), checked, calls)
+            witness = min(set().union(*failing), key=lambda c: c[::-1])
+            return NumberResult(k, Configuration(witness), checked)
         failing = grown
         k += 1
+
+
+def _fails(
+    g: Graph, c: tuple[int, ...], want: tuple[int, ...], fail: set[tuple[int, ...]]
+) -> bool:
+    """Whether ``c`` fails ``want``, given every failure one pebble smaller.
+
+    ``c`` fails exactly when it does not hold ``want`` and each of its
+    one-move successors is in ``fail``.
+    """
+    if all(x >= y for x, y in zip(c, want)):
+        return False
+    after = list(c)
+    for u, x in enumerate(c):
+        if x >= 2:
+            after[u] -= 2
+            for w in g.neighbors(u):
+                after[w] += 1
+                if tuple(after) not in fail:
+                    return False
+                after[w] -= 1
+            after[u] += 2
+    return True
 
 
 def cover_pebbling_number(
     g: Graph,
     d: Demand,
     *,
-    node_cap: int = DEFAULT_NODE_CAP,
     config_cap: int = DEFAULT_CONFIG_CAP,
 ) -> NumberResult:
     """Exact cover pebbling number of ``d`` on ``g``.
@@ -255,7 +178,6 @@ def cover_pebbling_number(
     return _threshold(
         g,
         [d],
-        node_cap=node_cap,
         config_cap=config_cap,
         unit_bound=(1 << g.n) - 1 if unit else None,
     )
@@ -265,19 +187,17 @@ def reachability_number(
     g: Graph,
     target: int,
     *,
-    node_cap: int = DEFAULT_NODE_CAP,
     config_cap: int = DEFAULT_CONFIG_CAP,
 ) -> NumberResult:
     """Cover pebbling number of the single-pebble demand on ``target``."""
     return cover_pebbling_number(
-        g, Demand.reach(g.n, target), node_cap=node_cap, config_cap=config_cap
+        g, Demand.reach(g.n, target), config_cap=config_cap
     )
 
 
 def pebbling_number(
     g: Graph,
     *,
-    node_cap: int = DEFAULT_NODE_CAP,
     config_cap: int = DEFAULT_CONFIG_CAP,
 ) -> NumberResult:
     """Least k such that every size-k configuration reaches every vertex.
@@ -288,7 +208,6 @@ def pebbling_number(
     return _threshold(
         g,
         [Demand.reach(g.n, v) for v in range(g.n)],
-        node_cap=node_cap,
         config_cap=config_cap,
         unit_bound=None,
     )

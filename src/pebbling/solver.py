@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import (
+    BudgetExceeded,
     Configuration,
     Demand,
     Graph,
@@ -54,10 +55,6 @@ from .core import (
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_STATE_CAP = 1_000_000
-
-
-class BudgetExceeded(PebblingError):
-    """A search hit its configured cap before reaching a verdict."""
 
 
 class NotASolution(PebblingError):
@@ -156,8 +153,8 @@ def oracle_solvable(
 class SearchPlan(NamedTuple):
     """The tables of :func:`is_cover_solvable` that depend only on the graph.
 
-    Built once per graph by :func:`search_plan` and kept on it, so a number
-    sweep over thousands of configurations pays for them once.  Its size is
+    Built once per graph by :func:`search_plan` and kept on it, so repeated
+    decisions on one graph pay for them once.  Its size is
     O(arcs * n), all in ``edge_delta``.  Read-only.
     """
 

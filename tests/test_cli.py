@@ -126,13 +126,7 @@ class TestNumbers:
         ):
             assert main([command, "--instance", p3_file, "--json"]) == 0
             doc = json.loads(capsys.readouterr().out)
-            assert doc["solver_calls"] == result.solver_calls
             assert doc["configs_checked"] == result.configs_checked
-        # one call per orbit under the end swap of P3
-        assert (
-            cover_pebbling_number(g, Demand.unit(3)).solver_calls,
-            pebbling_number(g).solver_calls,
-        ) == (26, 13)
 
 
 class TestOracleVerifyGamma:

@@ -193,8 +193,8 @@ def test_frontier_sweep_matches_plain_enumeration(g, data):
 @given(connected_graphs(max_n=4), st.data())
 @settings(deadline=None)
 def test_relabelling_keeps_the_numbers(g, data):
-    # the sweep settles candidates by automorphism orbits, which must not
-    # lean on the labels: a relabelled graph has the same value and count,
+    # the sweep keys configurations and moves by vertex label, which must
+    # decide nothing: a relabelled graph has the same value and count,
     # and its witness is the colex-first failure on the relabelled graph
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
