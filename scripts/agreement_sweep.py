@@ -2,10 +2,11 @@
 """Randomized cross-validation of the solving engines.
 
 Samples connected graphs with random configurations and demands, then checks
-that the move-list solver, the breadth-first oracle, and (on trees) the
-leaf-collapse solver all return the same verdict, that every certificate
-verifies with an acyclic support, and that a negative potential is only ever
-reported for oracle-unsolvable instances.
+that the move-list solver and the breadth-first oracle return the same
+verdict, that every certificate verifies with an acyclic support, that a
+negative potential is only ever reported for oracle-unsolvable instances,
+and that every tree folds to one vertex, so the solver decides it with no
+search.
 
 Example:
     python scripts/agreement_sweep.py --cases 2000 --max-vertices 6 --seed 7
@@ -24,8 +25,8 @@ from pebbling import (
     Graph,
     gamma_witness,
     is_cover_solvable,
+    normalize_acyclic,
     oracle_solvable,
-    solve_tree,
     verify_solution,
 )
 
@@ -68,7 +69,9 @@ def main() -> int:
             return 1
         if result.solvable:
             stats["solvable"] += 1
-            if not verify_solution(g, c, d, result.certificate):
+            cert = result.certificate
+            # normalize_acyclic returns an acyclic move list unchanged
+            if not verify_solution(g, c, d, cert) or normalize_acyclic(g, c, d, cert) != cert:
                 print(f"BAD CERTIFICATE at case {case}")
                 return 1
         else:
@@ -80,8 +83,8 @@ def main() -> int:
                 return 1
         if g.is_tree:
             stats["trees"] += 1
-            if solve_tree(g, c, d) != reference:
-                print(f"TREE DISAGREEMENT at case {case}")
+            if result.nodes_expanded:
+                print(f"TREE SEARCHED at case {case}")
                 return 1
     elapsed = time.time() - t0
     print(

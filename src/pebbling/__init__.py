@@ -46,7 +46,6 @@ from .solver import (
     CanonicalResult,
     NotALeaf,
     NotASolution,
-    NotATree,
     SingletonGraph,
     SolveResult,
     collapse_leaf,
@@ -55,7 +54,6 @@ from .solver import (
     is_reachable,
     normalize_acyclic,
     oracle_solvable,
-    solve_tree,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "NotACover",
     "NotALeaf",
     "NotASolution",
-    "NotATree",
     "NumberResult",
     "PebblingError",
     "PotentialValue",
@@ -98,7 +95,6 @@ __all__ = [
     "reduce_cover_to_canonical",
     "reduce_to_cover_solvability",
     "reduce_to_number_threshold",
-    "solve_tree",
     "stacking_lower_bound",
     "verify_solution",
     "x4c_solve",

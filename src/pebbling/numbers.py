@@ -104,14 +104,15 @@ def _threshold(
     one-pebble removal of it is in that failing set: its extensions are
     counted, and a count equal to its number of non-zero slots means no
     solvable configuration lies below it.  :func:`_fails` decides each
-    candidate from the same failing set.  ``configs_checked`` and
-    ``config_cap`` count all configurations of sizes 1 .. k.
+    candidate from the same failing set.  ``configs_checked`` counts all
+    configurations of sizes 1 .. k; ``config_cap`` bounds the ones built,
+    ``n`` extensions per failing configuration, charged before they are.
     ``unit_bound`` is a proven ceiling on the value; passing it means a
     bug in the sweep, not a larger answer.
     """
     n = g.n
     failing: list[set[tuple[int, ...]]] = [{(0,) * n} for _ in demands]
-    checked = 0
+    checked = built = 0
     k = 1
     while True:
         if unit_bound is not None and k > unit_bound:
@@ -119,10 +120,11 @@ def _threshold(
                 f"sweep passed the proven upper bound {unit_bound}; bug in the sweep"
             )
         checked += comb(k + n - 1, n - 1)
-        if checked > config_cap:
-            raise BudgetExceeded(f"sweep covers more than {config_cap} configurations")
         grown: list[set[tuple[int, ...]]] = []
         for d, fail in zip(demands, failing):
+            built += n * len(fail)
+            if built > config_cap:
+                raise BudgetExceeded(f"sweep builds more than {config_cap} configurations")
             below = Counter(f[:i] + (f[i] + 1,) + f[i + 1:] for f in fail for i in range(n))
             grown.append({
                 c

@@ -27,9 +27,21 @@ Two independent engines answer the same question:
   1)``, so the deficit and surplus not yet summed bound the rest of the
   sum, and the early verdict is the one the full walk would give.
 
-Trees additionally get a linear-step decision (:func:`solve_tree`) by
-repeatedly folding a leaf's surplus (halved, floored) or deficit (doubled)
-into its neighbour (:func:`collapse_leaf`).
+Pendant trees are folded away before the search, so it only ever runs on
+the 2-core, the subgraph left once degree-1 vertices are peeled off
+repeatedly (a tree peels down to one vertex).  Each peeled leaf passes its
+balance to its neighbour, leaves first: a surplus ``b`` is worth ``b // 2``
+there and a deficit costs ``2 * |b|``, as in :func:`collapse_leaf`.  The
+fold is exact.  The leaf touches the rest only through its one edge, and
+dropping one move each way along it only raises both tallies, so some
+solution moves along it one way only; then at most ``b // 2`` moves can
+leave a surplus, and at least ``|b|`` must feed a deficit, each costing the
+neighbour two pebbles.  A core certificate lifts back by exactly those
+moves, ``(leaf, nbr, b // 2)`` or ``(nbr, leaf, |b|)``, which leave every
+leaf at a non-negative tally and every neighbour at its folded balance.
+Pendant edges are bridges and each carries moves one way only, so the
+lifted support stays cycle-free.  Distances between core vertices are the
+graph's own, since a shortest path never enters a pendant tree.
 
 The decision problem is NP-complete, so every search takes a node cap and
 raises :class:`BudgetExceeded` rather than ever guessing; "gave up" is
@@ -67,10 +79,6 @@ class NotALeaf(PebblingError):
 
 class SingletonGraph(PebblingError):
     """The last vertex of a graph cannot be collapsed away."""
-
-
-class NotATree(PebblingError):
-    """The tree solver was given a graph with a cycle."""
 
 
 @dataclass(frozen=True)
@@ -154,13 +162,19 @@ class SearchPlan(NamedTuple):
     """The tables of :func:`is_cover_solvable` that depend only on the graph.
 
     Built once per graph by :func:`search_plan` and kept on it, so repeated
-    decisions on one graph pay for them once.  Its size is
-    O(arcs * n), all in ``edge_delta``.  Read-only.
+    decisions on one graph pay for them once.  The search runs on the
+    2-core: ``peel`` holds the peeled ``(leaf, neighbour)`` pairs in peel
+    order, ``core`` the vertices kept, and every other table indexes a
+    core vertex by its position in ``core``.  Its size is O(arcs * n), all
+    in ``edge_delta``.  Read-only.
     """
 
     edges: Sequence[tuple[int, int]]  # ascending (from, to); a call reorders it
     edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
     into: list[Sequence[tuple[int, int]]]  # [a]: (u, p) per arc edges[p] = (u, a), by p
+    core: Sequence[int]  # [i]: the vertex of the graph at core position i, ascending
+    peel: Sequence[tuple[int, int]]  # (leaf, neighbour), each leaf peeled before its neighbour
+    weight: Sequence[Sequence[int]]  # [z][x]: 2**(core diameter - dist(x, z))
 
 
 def search_plan(g: Graph) -> SearchPlan:
@@ -172,17 +186,35 @@ def search_plan(g: Graph) -> SearchPlan:
 
 
 def _build_plan(g: Graph) -> SearchPlan:
-    n = g.n
-    edges = g.directed_edges()
-    diam = g.diameter
-    weight = [[1 << (diam - g.distance(x, z)) for z in range(n)] for x in range(n)]
+    adj = g._adj
+    deg = [len(nbrs) for nbrs in adj]
+    peel: list[tuple[int, int]] = []
+    leaves = [v for v, k in enumerate(deg) if k == 1]
+    for leaf in leaves:  # grows as peeling makes new leaves
+        if len(peel) == g.n - 1:
+            break  # a tree: one vertex left
+        (nbr,) = [x for x in adj[leaf] if deg[x]]
+        peel.append((leaf, nbr))
+        deg[leaf] = 0
+        deg[nbr] -= 1
+        if deg[nbr] == 1:
+            leaves.append(nbr)
+    gone = {leaf for leaf, _ in peel}
+    core = [v for v in range(g.n) if v not in gone]
+    pos = {v: i for i, v in enumerate(core)}
+    edges = [(i, pos[w]) for i, v in enumerate(core) for w in adj[v] if w in pos]
+    dist = [[g._dist[x][z] for x in core] for z in core]
+    diam = max(map(max, dist))
+    weight = [[1 << (diam - k) for k in row] for row in dist]
     edge_delta = [
-        [weight[w][z] - 2 * weight[u][z] for z in range(n)] for u, w in edges
+        [weight[w][z] - 2 * weight[u][z] for z in range(len(core))] for u, w in edges
     ]
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    into: list[list[tuple[int, int]]] = [[] for _ in core]
     for p, (u, w) in enumerate(edges):
         into[w].append((u, p))
-    return SearchPlan(edges, edge_delta, [tuple(arcs) for arcs in into])
+    return SearchPlan(
+        edges, edge_delta, [tuple(arcs) for arcs in into], core, peel, weight
+    )
 
 
 def is_cover_solvable(
@@ -194,10 +226,14 @@ def is_cover_solvable(
 ) -> SolveResult:
     """Exact decision by branch and bound over move lists.
 
-    Accepts signed configurations.  When solvable, the returned certificate
-    verifies, has a cycle-free support, and its total move count is within
-    the deepening level at which it was found (so near-minimal, a byproduct
-    of the schedule rather than a promise).
+    The search runs on the 2-core of ``g`` with the pendant trees folded in,
+    and its certificate is lifted back to ``g`` (see the module docstring);
+    a tree is decided by the sign of the one vertex it folds to.  Accepts
+    signed configurations.  When solvable, the returned certificate
+    verifies and has a cycle-free support.  Its moves on the core number at
+    most the deepening level at which they were found (so near-minimal, a
+    byproduct of the schedule rather than a promise); every pendant leaf
+    passes its whole folded surplus on.
     """
     _check_dims(g, c, d)
     n = g.n
@@ -209,39 +245,52 @@ def is_cover_solvable(
     # only by powers of two.
     dist = g._dist
     diam = g.diameter
-    pot = []
     for z in range(n):
         row = dist[z]
-        t = sum([base[x] << (diam - row[x]) for x in range(n)])
-        if t < 0:
+        if sum([base[x] << (diam - row[x]) for x in range(n)]) < 0:
             return SolveResult(False, None, z, 0, 0)
-        pot.append(t)
-    budget = sum(base)
-    if budget <= 0:
+    if sum(base) <= 0:
         # too few pebbles to ever contain the demand: each move nets -1
         return SolveResult(False, None, None, 0, 0)
 
-    plan = _deficit_first(search_plan(g), base)
+    plan = search_plan(g)
+    bal = base[:]  # fold each pendant tree into its attachment vertex
+    for leaf, nbr in plan.peel:
+        b = bal[leaf]
+        bal[nbr] += b // 2 if b >= 0 else 2 * b
+    val = [bal[v] for v in plan.core]
     nodes = 0
     max_depth = 0
-    # Deepen the move budget geometrically up to the pebble-loss bound; the
-    # final level alone is exhaustive, so unsolvability costs one bounded
-    # pass while solvable instances exit at a level near their minimum.
-    level = 1
-    while True:
-        level = min(level, budget)
-        solution, nodes, max_depth = _search(
-            plan, base, pot, level, node_cap, nodes, max_depth
-        )
-        if solution is not None:
-            edges = plan.edges
-            ml = MoveList(
-                [(edges[i][0], edges[i][1], q) for i, q in enumerate(solution) if q]
+    moves: list[tuple[int, int, int]] = []
+    if min(val) < 0:
+        # the same root checks on the folded core, with no witness to name
+        pot = [sum([x * w for x, w in zip(val, row)]) for row in plan.weight]
+        budget = sum(val)
+        if min(pot) < 0 or budget <= 0:
+            return SolveResult(False, None, None, 0, 0)
+        order = _deficit_first(plan, val)
+        # Deepen the move budget geometrically up to the pebble-loss bound;
+        # the final level alone is exhaustive, so unsolvability costs one
+        # bounded pass while solvable instances exit at a level near their
+        # minimum.
+        level = 1
+        while True:
+            level = min(level, budget)
+            solution, nodes, max_depth = _search(
+                order, val, pot, level, node_cap, nodes, max_depth
             )
-            return SolveResult(True, ml, None, nodes, max_depth)
-        if level == budget:
-            return SolveResult(False, None, None, nodes, max_depth)
-        level <<= 1
+            if solution is not None:
+                break
+            if level == budget:
+                return SolveResult(False, None, None, nodes, max_depth)
+            level <<= 1
+        core = plan.core
+        moves = [(core[u], core[w], q) for (u, w), q in zip(order.edges, solution)]
+    # lift the core's moves back through the pendant trees
+    for leaf, nbr in plan.peel:
+        b = bal[leaf]
+        moves.append((leaf, nbr, b // 2) if b >= 0 else (nbr, leaf, -b))
+    return SolveResult(True, MoveList(moves), None, nodes, max_depth)
 
 
 def _deficit_first(plan: SearchPlan, base: list[int]) -> SearchPlan:
@@ -262,7 +311,9 @@ def _deficit_first(plan: SearchPlan, base: list[int]) -> SearchPlan:
         into[w].append((u, i))
     # lists, not tuples: CPython 3.11 parks every freed 20-tuple on a free
     # list it never reuses, so a fresh tuple per call would pile up there
-    return SearchPlan([edges[p] for p in order], [edge_delta[p] for p in order], into)
+    return SearchPlan(
+        [edges[p] for p in order], [edge_delta[p] for p in order], into, *plan[3:]
+    )
 
 
 def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
@@ -540,7 +591,7 @@ def collapse_leaf(
     A surplus at the leaf is worth half, floored, to the neighbour; a
     deficit costs the neighbour double.  The folded configuration is
     solvable (in the signed sense) exactly when the original is, which is
-    what makes the tree solver exact.
+    what makes the pendant-tree fold of :func:`is_cover_solvable` exact.
     """
     _check_dims(g, c, d)
     if g.n == 1:
@@ -562,22 +613,6 @@ def collapse_leaf(
         extended=c.extended or any(x < 0 for x in new_counts),
     )
     return h, cfg, Demand(new_demand)
-
-
-def solve_tree(g: Graph, c: Configuration, d: Demand) -> bool:
-    """Decide solvability on a tree by collapsing leaves, lowest index first.
-
-    Runs in O(|V|) collapse steps and agrees with :func:`oracle_solvable`
-    on non-negative inputs (a contract enforced by randomized testing, not
-    assumed).
-    """
-    _check_dims(g, c, d)
-    if not g.is_tree:
-        raise NotATree("graph has a cycle")
-    while g.n > 1:
-        leaf = min(v for v in range(g.n) if g.degree(v) == 1)
-        g, c, d = collapse_leaf(g, c, d, leaf)
-    return c.counts[0] >= d.counts[0]
 
 
 def is_reachable(

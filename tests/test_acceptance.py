@@ -29,7 +29,6 @@ from pebbling import (
     reduce_cover_to_canonical,
     reduce_to_cover_solvability,
     reduce_to_number_threshold,
-    solve_tree,
     verify_solution,
     x4c_solve,
 )
@@ -106,13 +105,20 @@ def test_criterion_2_gamma_witness_soundness():
 
 
 def test_criterion_3_tree_solver_matches_oracle():
+    # a tree folds to one vertex, so the solver decides it with no search
+    # and lifts a certificate for the whole tree
     started = time.time()
     rng = random.Random(3)
     for _ in range(500):
         g = random_tree(rng, 9)
         c = Configuration(random_spread(rng, g.n, rng.randint(0, 12)))
         d = Demand(random_spread(rng, g.n, rng.randint(0, 4)))
-        assert solve_tree(g, c, d) == oracle_solvable(g, c, d), (g, c, d)
+        result = is_cover_solvable(g, c, d)
+        assert result.solvable == oracle_solvable(g, c, d), (g, c, d)
+        assert result.nodes_expanded == 0, (g, c, d)
+        if result.solvable:
+            assert verify_solution(g, c, d, result.certificate), (g, c, d)
+            assert _support_acyclic(result.certificate), (g, c, d)
     _verdict(3, "500 random trees, zero disagreements", started)
 
 
@@ -148,14 +154,14 @@ def test_criterion_6_cover_solvability_reduction_round_trip():
     solved = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**8)
     assert solved.solvable
     # search cost is pinned so that a pruning change shows here in the open
-    assert solved.nodes_expanded == 3_250
+    assert solved.nodes_expanded == 719
 
     # unsolvable direction: exact search must close under the cap
     assert x4c_solve(NO_COVER) is None
     red = reduce_to_cover_solvability(NO_COVER)
     result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**8)
     assert not result.solvable
-    assert result.nodes_expanded == 6_842
+    assert result.nodes_expanded == 786
     _verdict(
         6,
         f"19-vertex no-cover instance closed in {result.nodes_expanded} nodes",

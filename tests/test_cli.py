@@ -68,8 +68,9 @@ class TestSolve:
     def test_budget_exit_code(self, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text(
+            # C_6 with (21, 0, ...): no root shortcut and no pendant tree to fold
             "vertices a b c d e f\nedge a b\nedge b c\nedge c d\nedge d e\nedge e f\n"
-            "config a 63\ndemand_kind unit\n"
+            "edge f a\nconfig a 21\ndemand_kind unit\n"
         )
         assert main(["solve", "--instance", str(path), "--node-cap", "5"]) == 3
 

@@ -179,25 +179,50 @@ class TestFrontierAgreement:
 
 
 class TestConfigCap:
-    """The cap bounds the configurations of sizes 1 .. value, all counted."""
+    """The cap bounds the configurations the sweep builds: the n one-pebble
+    extensions of each failing configuration of sizes 0 .. value - 1, per
+    demand."""
 
     def test_cover_pebbling_number_boundary(self):
         g, d = Graph.path(4), Demand.unit(4)
-        assert cover_pebbling_number(g, d, config_cap=comb(19, 4) - 1).value == 15
+        fails = sum(
+            not is_cover_solvable(g, Configuration(c), d).solvable
+            for k in range(15)
+            for c in compositions(k, 4)
+        )
+        assert fails == 281
+        assert cover_pebbling_number(g, d, config_cap=4 * fails).value == 15
         with pytest.raises(BudgetExceeded):
-            cover_pebbling_number(g, d, config_cap=comb(19, 4) - 2)
+            cover_pebbling_number(g, d, config_cap=4 * fails - 1)
 
     def test_pebbling_number_boundary(self):
         g = Graph.cycle(4)
-        assert pebbling_number(g, config_cap=comb(8, 4) - 1).value == 4
+        fails = sum(
+            not is_cover_solvable(g, Configuration(c), Demand.reach(4, v)).solvable
+            for v in range(4)
+            for k in range(4)
+            for c in compositions(k, 4)
+        )
+        assert fails == 40
+        assert pebbling_number(g, config_cap=4 * fails).value == 4
         with pytest.raises(BudgetExceeded):
-            pebbling_number(g, config_cap=comb(8, 4) - 2)
+            pebbling_number(g, config_cap=4 * fails - 1)
+
+    def test_cap_counts_work_not_the_closed_form(self):
+        # sizes 1 .. 47 hold 22,957,479 configurations, past the default cap,
+        # but the sweep builds 176,046 of them
+        g = Graph(6, [(0, 1), (0, 3), (1, 2), (2, 4), (2, 5)])
+        res = cover_pebbling_number(g, Demand.unit(6))
+        assert res.value == 47 and res.configs_checked == 22_957_479
+        assert res.extremal_config.counts == (0, 0, 0, 46, 0, 0)
+        with pytest.raises(BudgetExceeded):
+            cover_pebbling_number(g, Demand.unit(6), config_cap=176_045)
 
     @pytest.mark.parametrize("g", [Graph.complete(12), Graph.star(11)], ids=["K12", "K1,11"])
     def test_set_up_stays_polynomial(self, g):
-        # K12 has 12! automorphisms and K1,11 has 11!: the cap is passed
-        # within a few sizes, so nothing the sweep sets up per graph may
-        # grow with the symmetry
+        # K12 has 12! automorphisms and K1,11 has 11!: nothing the sweep sets
+        # up per graph may grow with the symmetry, and the cap, charged
+        # before a size's extensions are built, is passed within a few sizes
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             cover_pebbling_number(g, Demand.unit(12), config_cap=10**4)

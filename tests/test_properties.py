@@ -19,7 +19,6 @@ from pebbling import (
     normalize_acyclic,
     oracle_solvable,
     pebbling_number,
-    solve_tree,
     verify_solution,
 )
 from pebbling.solver import _deficit_first, _uncoverable, search_plan
@@ -168,11 +167,35 @@ def test_normalize_acyclic_properties(case, data):
     assert normalize_acyclic(g, c, d, out) == out
 
 
+def lifted_certificate_holds(g, c, d, result) -> bool:
+    """The verdict is the oracle's, and a certificate solves the original
+    instance with an acyclic support (normalize_acyclic keeps it as is)."""
+    if result.solvable != oracle_solvable(g, c, d):
+        return False
+    ml = result.certificate
+    return not result.solvable or (
+        verify_solution(g, c, d, ml) and normalize_acyclic(g, c, d, ml) == ml
+    )
+
+
 @given(trees())
 @settings(max_examples=200)
 def test_tree_solver_agrees_with_oracle(case):
+    # a tree folds to one vertex: decided by its sign, with no search
     g, c, d = case
-    assert solve_tree(g, c, d) == oracle_solvable(g, c, d)
+    result = is_cover_solvable(g, c, d)
+    assert lifted_certificate_holds(g, c, d, result)
+    assert result.nodes_expanded == 0
+
+
+@given(instances(max_n=7, max_pebbles=10, max_demand=4))
+@settings(max_examples=300, deadline=None)
+def test_pendant_trees_fold_exactly(case):
+    # a random tree plus a few chords: the search runs on the 2-core with
+    # the pendant trees folded in, and the certificate it lifts back must
+    # solve the original graph
+    g, c, d = case
+    assert lifted_certificate_holds(g, c, d, is_cover_solvable(g, c, d))
 
 
 @given(connected_graphs(max_n=4), st.data())
@@ -258,19 +281,23 @@ def test_relabelling_keeps_the_verdict(case, data):
 
 
 @given(connected_graphs(max_n=7), st.randoms(use_true_random=True))
+@settings(max_examples=200)
 def test_uncoverable_matches_the_full_walk(g, rng):
     # the pass stops each deficit's walk once its sign is settled; on any
     # state it must give the verdict of the walk over every layer.  A sign
     # that flips late needs several deficits near the margin, about one
-    # state in a few thousand, so each graph gets 200 states.
+    # state in a few thousand, so each graph gets 200 states.  The plan
+    # indexes the 2-core of g, so states are drawn over its vertices; about
+    # half the graphs drawn fold to one vertex, hence 200 graphs.
+    m = len(search_plan(g).core)
     for _ in range(200):
         spread = rng.choice((2, 4, 8))
         plan = _deficit_first(
-            search_plan(g), [rng.randint(-spread, spread) for _ in range(g.n)]
+            search_plan(g), [rng.randint(-spread, spread) for _ in range(m)]
         )
-        val = [rng.randint(-spread, spread) for _ in range(g.n)]
+        val = [rng.randint(-spread, spread) for _ in range(m)]
         p = rng.randint(0, len(plan.edges))
-        succ = [set() for _ in range(g.n)]
+        succ = [set() for _ in range(m)]
         for u, w in plan.edges[:p]:
             if rng.random() < 0.3:
                 succ[u].add(w)

@@ -10,7 +10,6 @@ from pebbling import (
     MoveList,
     NotALeaf,
     NotASolution,
-    NotATree,
     SingletonGraph,
     collapse_leaf,
     is_canonical_solvable,
@@ -18,11 +17,10 @@ from pebbling import (
     is_reachable,
     normalize_acyclic,
     oracle_solvable,
-    solve_tree,
     verify_solution,
 )
 from pebbling.solver import _deficit_first, _uncoverable, search_plan
-from universe import reference_uncoverable
+from universe import fold_to_one_vertex, reference_uncoverable
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
@@ -97,11 +95,12 @@ class TestIsCoverSolvable:
         assert not result.solvable
 
     def test_node_cap_raises(self):
-        # (63,0,...) on P_6 is exactly affordable, so no root shortcut fires
-        g = Graph.path(6)
+        # (21,0,...) on C_6 is exactly affordable, so no root shortcut fires,
+        # and a cycle has no pendant tree to fold: the search needs 38 nodes
+        g = Graph.cycle(6)
         with pytest.raises(BudgetExceeded):
             is_cover_solvable(
-                g, Configuration((63, 0, 0, 0, 0, 0)), Demand.unit(6), node_cap=5
+                g, Configuration((21, 0, 0, 0, 0, 0)), Demand.unit(6), node_cap=5
             )
 
     def test_many_arcs_leave_recursion_limit_alone(self):
@@ -131,11 +130,13 @@ class TestIsCoverSolvable:
                               [(1, 2), (3, 3)], [(0, 5), (2, 7)]]
 
     def test_uncoverable_waits_for_deficits_one_layer_deeper(self):
-        # centre 0 holds 7 pebbles for leaves 2, 3, 4 owing 1, 3 and 2.  The
-        # walk from 3 reads +16 after one layer, but 2 and 4 owe 3 more a
-        # layer further, weighing 8 each: -8.  A pass test that stopped while
-        # that deficit could still flip the sign would keep this node.
-        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4)])
+        # centre 0 holds 7 pebbles for 2, 3, 4 owing 1, 3 and 2.  The walk
+        # from 3 reads +16 after one layer, but 2 and 4 owe 3 more a layer
+        # further, weighing 8 each: -8.  A pass test that stopped while that
+        # deficit could still flip the sign would keep this node.  Every
+        # vertex lies on a cycle, so the plan's core positions are the labels.
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4), (1, 3)])
+        assert search_plan(g).core == [0, 1, 2, 3, 4]
         val = [7, 0, -1, -3, -2]
         into = _deficit_first(search_plan(g), val).into
         succ = [set() for _ in val]
@@ -213,21 +214,47 @@ class TestCollapseLeaf:
             collapse_leaf(Graph(1), Configuration((1,)), Demand((0,)), 0)
 
 
-class TestSolveTree:
+class TestPendantFold:
     def test_p3_boundary(self):
-        assert solve_tree(P3, Configuration((7, 0, 0)), Demand.unit(3))
-        assert not solve_tree(P3, Configuration((6, 0, 0)), Demand.unit(3))
+        # a path folds to one vertex: decided with no search
+        result = is_cover_solvable(P3, Configuration((7, 0, 0)), Demand.unit(3))
+        assert result.solvable and result.nodes_expanded == 0
+        assert result.certificate == MoveList({(0, 1): 3, (1, 2): 1})
+        result = is_cover_solvable(P3, Configuration((6, 0, 0)), Demand.unit(3))
+        assert not result.solvable and result.nodes_expanded == 0
 
     def test_star_tight_leaves(self):
-        # two pebbles per leaf cannot also cover the bare center
+        # two pebbles per leaf cannot also cover the bare center; no
+        # potential is negative, the folded centre is
         star = Graph.star(3)
         c = Configuration((0, 2, 2, 2))
-        assert not solve_tree(star, c, Demand.unit(4))
+        result = is_cover_solvable(star, c, Demand.unit(4))
+        assert not result.solvable and result.witness is None
+        assert result.nodes_expanded == 0
         assert not oracle_solvable(star, c, Demand.unit(4))
 
-    def test_rejects_cycles(self):
-        with pytest.raises(NotATree):
-            solve_tree(Graph.cycle(3), Configuration((1, 1, 1)), Demand.unit(3))
+    def test_plan_peels_down_to_the_core(self):
+        # a triangle 0-1-2 with the path 2-3-4 and the leaf 5 on 0 hanging off
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5)])
+        plan = search_plan(g)
+        assert plan.peel == [(4, 3), (5, 0), (3, 2)]
+        assert plan.core == [0, 1, 2]
+        assert plan.edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert search_plan(Graph.star(3)).core == [0]
+
+    def test_certificate_lifts_onto_the_pendant_trees(self):
+        # 4 owes 1, so 3 must send it one move and owes 2, so 2 must send 3
+        # two moves and owes 4; 5's surplus 3 is worth one move onto 0.  The
+        # core then needs four moves 0 -> 2.
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5)])
+        c, d = Configuration((8, 0, 0, 0, 0, 3)), Demand((0, 0, 0, 0, 1, 0))
+        result = is_cover_solvable(g, c, d)
+        assert result.solvable
+        assert result.certificate == MoveList(
+            {(0, 2): 4, (2, 3): 2, (3, 4): 1, (5, 0): 1}
+        )
+        assert verify_solution(g, c, d, result.certificate)
+        assert support_is_acyclic(result.certificate)
 
 
 class TestReachability:
@@ -301,6 +328,7 @@ class TestCrossValidation:
                 assert verify_solution(g, c, d, got.certificate)
 
     def test_heavy_trees_match_tree_solver(self):
+        # trees too heavy for the oracle, against folding by collapse_leaf
         import random
 
         rng = random.Random(7)
@@ -314,4 +342,8 @@ class TestCrossValidation:
             for _ in range(rng.randint(0, 8)):
                 demand[rng.randrange(n)] += 1
             c, d = Configuration(tuple(counts)), Demand(tuple(demand))
-            assert is_cover_solvable(g, c, d).solvable == solve_tree(g, c, d)
+            result = is_cover_solvable(g, c, d)
+            assert result.solvable == fold_to_one_vertex(g, c, d)
+            if result.solvable:
+                assert verify_solution(g, c, d, result.certificate)
+                assert support_is_acyclic(result.certificate)

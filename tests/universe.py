@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from pebbling import Configuration, Demand, Graph, is_cover_solvable
+from pebbling import Configuration, Demand, Graph, collapse_leaf, is_cover_solvable
 
 
 @lru_cache(maxsize=None)
@@ -119,3 +119,15 @@ def reference_uncoverable(into, val, succ, p) -> bool:
             if total < 0:
                 return True
     return False
+
+
+def fold_to_one_vertex(g: Graph, c: Configuration, d: Demand) -> bool:
+    """Solvability of a tree by collapsing leaves, lowest index first.
+
+    Each collapse is exact, so the one vertex left decides the tree by the
+    sign of its balance.  Independent of the solver's own peel order.
+    """
+    while g.n > 1:
+        leaf = min(v for v in range(g.n) if g.degree(v) == 1)
+        g, c, d = collapse_leaf(g, c, d, leaf)
+    return c.counts[0] >= d.counts[0]
