@@ -44,11 +44,8 @@ from .reductions import (
 )
 from .solver import (
     CanonicalResult,
-    NotALeaf,
     NotASolution,
-    SingletonGraph,
     SolveResult,
-    collapse_leaf,
     is_canonical_solvable,
     is_cover_solvable,
     is_reachable,
@@ -67,18 +64,15 @@ __all__ = [
     "MalformedInstance",
     "MoveList",
     "NotACover",
-    "NotALeaf",
     "NotASolution",
     "NumberResult",
     "PebblingError",
     "PotentialValue",
     "ReducedInstance",
-    "SingletonGraph",
     "SolveResult",
     "X4CInstance",
     "ZeroDemand",
     "apply_moves",
-    "collapse_leaf",
     "cover_certificate_from_exact_cover",
     "cover_pebbling_number",
     "gamma",

@@ -33,7 +33,6 @@ from .core import (
     PebblingError,
     apply_moves,
     gamma,
-    verify_solution,
 )
 from .formats import (
     FormatError,
@@ -78,23 +77,24 @@ def _node_cap(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--instance", metavar="FILE", help="instance file")
-    common.add_argument(
+    common.add_argument("--json", action="store_true", help="machine-readable report")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--node-cap",
         type=_node_cap,
         default=10**7,
         metavar="N",
         help="search node cap (default 10^7)",
     )
-    common.add_argument("--json", action="store_true", help="machine-readable report")
 
     parser = argparse.ArgumentParser(
         prog="pebbling", description="Exact graph pebbling engine."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common], help="decide cover solvability")
-    p = sub.add_parser("reach", parents=[common], help="decide reachability")
+    sub.add_parser("solve", parents=[capped], help="decide cover solvability")
+    p = sub.add_parser("reach", parents=[capped], help="decide reachability")
     p.add_argument("--target", required=True, metavar="NAME")
-    sub.add_parser("canonical", parents=[common], help="decide canonical solvability")
+    sub.add_parser("canonical", parents=[capped], help="decide canonical solvability")
     p = sub.add_parser("number", parents=[common], help="cover pebbling number")
     p.add_argument(
         "--demand-kind",
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="unit or reach:<name>; default is the instance demand",
     )
     sub.add_parser("pi", parents=[common], help="pebbling number")
-    sub.add_parser("oracle", parents=[common], help="breadth-first reference decision")
+    sub.add_parser("oracle", parents=[capped], help="breadth-first reference decision")
     p = sub.add_parser("verify", parents=[common], help="check a certificate")
     p.add_argument("--certificate", required=True, metavar="FILE")
     p = sub.add_parser("gamma", parents=[common], help="exact potential of a vertex")
@@ -147,9 +147,12 @@ def _certificate_json(instance: Instance, ml) -> list[dict]:
     ]
 
 
-def _cmd_solve(args: argparse.Namespace, demand: Demand | None = None) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    d = demand if demand is not None else instance.demand
+    if args.command == "reach":
+        d = Demand.reach(instance.graph.n, instance.index_of(args.target))
+    else:
+        d = instance.demand
     result = is_cover_solvable(
         instance.graph, instance.config, d, node_cap=args.node_cap
     )
@@ -168,12 +171,6 @@ def _cmd_solve(args: argparse.Namespace, demand: Demand | None = None) -> int:
     )
     _emit(args, report, text)
     return EXIT_OK if result.solvable else EXIT_NEGATIVE
-
-
-def _cmd_reach(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    target = instance.index_of(args.target)
-    return _cmd_solve(args, Demand.reach(instance.graph.n, target))
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
@@ -241,27 +238,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     records = parse_certificate(_read(args.certificate))
     ml = certificate_to_movelist(instance, records)
     try:
-        ok = verify_solution(instance.graph, instance.config, instance.demand, ml)
+        final = apply_moves(instance.graph, instance.config, ml).counts
     except EdgeViolation as exc:
         report = {"command": "verify", "status": "invalid", "violated_vertex": None,
                   "reason": str(exc)}
         _emit(args, report)
         return EXIT_NEGATIVE
-    violated = None
-    if not ok:
-        final = apply_moves(instance.graph, instance.config, ml).counts
-        violated = next(
-            instance.names[k]
-            for k in range(instance.graph.n)
-            if final[k] < instance.demand.counts[k]
-        )
+    # one tally, the one verify_solution checks: the certificate solves the
+    # instance exactly when no vertex ends below its demand
+    violated = next(
+        (name for name, x, want in zip(instance.names, final, instance.demand.counts)
+         if x < want),
+        None,
+    )
     report = {
         "command": "verify",
-        "status": "verified" if ok else "invalid",
+        "status": "verified" if violated is None else "invalid",
         "violated_vertex": violated,
     }
     _emit(args, report)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_OK if violated is None else EXIT_NEGATIVE
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
@@ -329,7 +325,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "solve": _cmd_solve,
-    "reach": _cmd_reach,
+    "reach": _cmd_solve,
     "canonical": _cmd_canonical,
     "number": _cmd_number,
     "pi": _cmd_number,

@@ -306,24 +306,6 @@ class MoveList:
     def __bool__(self) -> bool:
         return bool(self.moves)
 
-    def __add__(self, other: "MoveList") -> "MoveList":
-        merged = dict(self._map)
-        for (u, w), q in other._map.items():
-            merged[u, w] = merged.get((u, w), 0) + q
-        return MoveList(merged)
-
-    def __sub__(self, other: "MoveList") -> "MoveList":
-        merged = dict(self._map)
-        for (u, w), q in other._map.items():
-            rest = merged.get((u, w), 0) - q
-            if rest < 0:
-                raise ValueError(f"subtraction would leave ({u}, {w}) negative")
-            merged[u, w] = rest
-        return MoveList(merged)
-
-    def __le__(self, other: "MoveList") -> bool:
-        return all(q <= other.count(u, w) for (u, w), q in self._map.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MoveList) and self.moves == other.moves
 
@@ -339,9 +321,9 @@ class MoveList:
 class PotentialValue:
     """Exact dyadic rational ``numerator / 2**log2_denominator``.
 
-    The representation is not normalized: the solver keeps the denominator
-    pinned to ``2**eccentricity`` so numerators stay integers.  Comparisons
-    and hashing use the value, not the representation.
+    The representation is not normalized: :func:`gamma` keeps the
+    denominator pinned to ``2**eccentricity`` so numerators stay integers.
+    Comparisons and hashing use the value, not the representation.
     """
 
     numerator: int
@@ -472,10 +454,14 @@ def gamma(g: Graph, c: Configuration, d: Demand, v: int) -> PotentialValue:
 def gamma_witness(g: Graph, c: Configuration, d: Demand) -> int | None:
     """Lowest-index vertex with negative potential, or None.
 
-    A hit proves the pair (c, d) unsolvable; no hit proves nothing.
+    A hit proves the pair (c, d) unsolvable; no hit proves nothing.  Each
+    potential is summed as an integer numerator over ``2**diameter``, which
+    has the sign of :func:`gamma`'s value over ``2**eccentricity``.
     """
     _check_dims(g, c, d)
-    for v in range(g.n):
-        if gamma(g, c, d, v).is_negative:
+    diam = g.diameter
+    base = [a - b for a, b in zip(c.counts, d.counts)]
+    for v, row in enumerate(g._dist):
+        if sum([x << (diam - k) for x, k in zip(base, row)]) < 0:
             return v
     return None

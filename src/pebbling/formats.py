@@ -52,26 +52,6 @@ class Instance:
         except ValueError:
             raise KeyError(f"unknown vertex name {name!r}") from None
 
-    def same_instance(self, other: "Instance") -> bool:
-        """Equality up to vertex order (content keyed by names)."""
-        if set(self.names) != set(other.names):
-            return False
-        mine = {self.names[i]: i for i in range(len(self.names))}
-        theirs = {other.names[i]: i for i in range(len(other.names))}
-        for name in mine:
-            i, j = mine[name], theirs[name]
-            if self.config.counts[i] != other.config.counts[j]:
-                return False
-            if self.demand.counts[i] != other.demand.counts[j]:
-                return False
-        my_edges = {
-            frozenset((self.names[u], self.names[v])) for u, v in self.graph.edges
-        }
-        their_edges = {
-            frozenset((other.names[u], other.names[v])) for u, v in other.graph.edges
-        }
-        return my_edges == their_edges
-
 
 def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
     out = []

@@ -141,6 +141,29 @@ def _check_cover(inst: X4CInstance, cover: list[int]) -> None:
         raise NotACover("selected sets do not partition the universe")
 
 
+def _set_gadget(
+    inst: X4CInstance, layers: int
+) -> tuple[list[str], list[str], list[tuple[int, int]]]:
+    """Names, roles and edges of the part both X4C constructions share.
+
+    The element vertices ``t1 .. t4n`` come first, then ``layers`` layers of
+    m set vertices each: ``b1 .. bm`` (role B), ``b1' .. bm'`` (B'), and so
+    on with one more prime per layer.  Each set vertex b is joined to the
+    elements of its set, and each layer's i-th vertex to the next layer's,
+    so every set trails a chain b - b' - b'' ...
+    """
+    n, m = inst.n, inst.m
+    names = [f"t{j + 1}" for j in range(4 * n)]
+    roles = ["T"] * (4 * n)
+    for k in range(layers):
+        names += [f"b{i + 1}" + "'" * k for i in range(m)]
+        roles += ["B" + "'" * k] * m
+    b0 = 4 * n
+    edges = [(b0 + i, e - 1) for i, s in enumerate(inst.sets) for e in s]
+    edges += [(x, x + m) for x in range(b0, b0 + (layers - 1) * m)]
+    return names, roles, edges
+
+
 def reduce_to_cover_solvability(inst: X4CInstance) -> ReducedInstance:
     """Unit-demand cover solvability instance equivalent to ``inst``.
 
@@ -162,57 +185,19 @@ def reduce_to_cover_solvability(inst: X4CInstance) -> ReducedInstance:
         )
     n, m = inst.n, inst.m
     span = m - n
-    names: list[str] = []
-    roles: list[str] = []
-    for j in range(4 * n):
-        names.append(f"t{j + 1}")
-        roles.append("T")
-    for i in range(m):
-        names.append(f"b{i + 1}")
-        roles.append("B")
-    for i in range(m):
-        names.append(f"b{i + 1}'")
-        roles.append("B'")
-    for i in range(m):
-        names.append(f"b{i + 1}''")
-        roles.append("B''")
+    names, roles, edges = _set_gadget(inst, 3)
+    # the path v, u1 .. u(m-n-1), w; for m = n it is v alone, and w is v
     v = len(names)
-    names.append("v")
-    roles.append("v")
-    interior = []
-    for j in range(span - 1):
-        interior.append(len(names))
-        names.append(f"u{j + 1}")
-        roles.append("u")
-    if span > 0:
-        w = len(names)
-        names.append("w")
-        roles.append("w")
-    else:
-        w = v
-
-    t0, b0 = 0, 4 * n
-    bp0, bpp0 = b0 + m, b0 + 2 * m
-    edges: list[tuple[int, int]] = []
-    for i, s in enumerate(inst.sets):
-        for e in s:
-            edges.append((b0 + i, t0 + e - 1))
-    for i in range(m):
-        edges.append((b0 + i, bp0 + i))
-        edges.append((bp0 + i, bpp0 + i))
-        edges.append((bpp0 + i, v))
-    path = [v] + interior + ([w] if span > 0 else [])
-    for a, b in zip(path, path[1:]):
-        edges.append((a, b))
-
-    counts = [0] * len(names)
-    for i in range(m):
-        counts[b0 + i] = 9
-        counts[bp0 + i] = 1
-        counts[bpp0 + i] = 1
-    counts[v] = (1 << span) - span + 1
-    for u in interior:
-        counts[u] = 1
+    path = list(range(v, v + span + 1))
+    names += ["v"] + [f"u{j + 1}" for j in range(span - 1)] + ["w"] * (span > 0)
+    roles += ["v"] + ["u"] * (span - 1) + ["w"] * (span > 0)
+    edges += [(v - m + i, v) for i in range(m)]  # each b'' to v
+    edges += zip(path, path[1:])
+    # in vertex order: T, b, b', b'', v, the u's, w
+    counts = (
+        [0] * (4 * n) + [9] * m + [1] * (2 * m)
+        + [(1 << span) - span + 1] + [1] * (span - 1) + [0] * (span > 0)
+    )
 
     graph = Graph(len(names), edges)
     return ReducedInstance(
@@ -343,37 +328,11 @@ def reduce_to_number_threshold(inst: X4CInstance) -> ReducedInstance:
     :func:`number_witness_config`.
     """
     n, m = inst.n, inst.m
-    names: list[str] = []
-    roles: list[str] = []
-    for j in range(4 * n):
-        names.append(f"t{j + 1}")
-        roles.append("T")
-    for i in range(m):
-        names.append(f"b{i + 1}")
-        roles.append("B")
-    for i in range(m):
-        names.append(f"b{i + 1}'")
-        roles.append("B'")
-    for i in range(m):
-        names.append(f"b{i + 1}''")
-        roles.append("B''")
-    for i in range(m):
-        names.append(f"b{i + 1}'''")
-        roles.append("B'''")
+    names, roles, edges = _set_gadget(inst, 4)
     v = len(names)
     names.append("v")
     roles.append("v")
-
-    t0, b0 = 0, 4 * n
-    bp0, bpp0, bppp0 = b0 + m, b0 + 2 * m, b0 + 3 * m
-    edges: list[tuple[int, int]] = [(t0 + j, v) for j in range(4 * n)]
-    for i, s in enumerate(inst.sets):
-        for e in s:
-            edges.append((b0 + i, t0 + e - 1))
-    for i in range(m):
-        edges.append((b0 + i, bp0 + i))
-        edges.append((bp0 + i, bpp0 + i))
-        edges.append((bpp0 + i, bppp0 + i))
+    edges += [(j, v) for j in range(4 * n)]
 
     graph = Graph(len(names), edges)
     return ReducedInstance(

@@ -29,19 +29,23 @@ Two independent engines answer the same question:
 
 Pendant trees are folded away before the search, so it only ever runs on
 the 2-core, the subgraph left once degree-1 vertices are peeled off
-repeatedly (a tree peels down to one vertex).  Each peeled leaf passes its
-balance to its neighbour, leaves first: a surplus ``b`` is worth ``b // 2``
-there and a deficit costs ``2 * |b|``, as in :func:`collapse_leaf`.  The
-fold is exact.  The leaf touches the rest only through its one edge, and
-dropping one move each way along it only raises both tallies, so some
-solution moves along it one way only; then at most ``b // 2`` moves can
-leave a surplus, and at least ``|b|`` must feed a deficit, each costing the
-neighbour two pebbles.  A core certificate lifts back by exactly those
-moves, ``(leaf, nbr, b // 2)`` or ``(nbr, leaf, |b|)``, which leave every
-leaf at a non-negative tally and every neighbour at its folded balance.
-Pendant edges are bridges and each carries moves one way only, so the
-lifted support stays cycle-free.  Distances between core vertices are the
-graph's own, since a shortest path never enters a pendant tree.
+repeatedly (a tree peels down to one vertex).  The fold rule: a peeled
+leaf with balance ``b`` (pebbles minus demand, its own folded leaves
+included) is removed, and its neighbour's balance rises by ``b // 2`` when
+``b >= 0`` and falls by ``2 * |b|`` when ``b < 0``.  The fold is exact.
+The leaf touches the rest only through its one edge, and dropping one move
+each way along it only raises both tallies, so some solution moves along
+it one way only; then at most ``b // 2`` moves can leave a surplus, and at
+least ``|b|`` must feed a deficit, each costing the neighbour two pebbles.
+A core certificate lifts back by exactly those moves, ``(leaf, nbr, b //
+2)`` or ``(nbr, leaf, |b|)``, which leave every leaf at a non-negative
+tally and every neighbour at its folded balance.  Then, in reverse peel
+order, each surplus move is cut by what its neighbour has to spare (final
+tally minus demand); a cut raises the leaf's tally by two, so the lifted
+list still verifies.  Pendant edges are bridges and each carries moves one
+way only, so the lifted support stays cycle-free.  Distances between core
+vertices are the graph's own, since a shortest path never enters a
+pendant tree.
 
 The decision problem is NP-complete, so every search takes a node cap and
 raises :class:`BudgetExceeded` rather than ever guessing; "gave up" is
@@ -62,6 +66,7 @@ from .core import (
     MoveList,
     PebblingError,
     _check_dims,
+    gamma_witness,
     verify_solution,
 )
 
@@ -71,14 +76,6 @@ DEFAULT_STATE_CAP = 1_000_000
 
 class NotASolution(PebblingError):
     """The given move list does not solve the instance."""
-
-
-class NotALeaf(PebblingError):
-    """Leaf collapse was asked for a vertex of degree != 1."""
-
-
-class SingletonGraph(PebblingError):
-    """The last vertex of a graph cannot be collapsed away."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,6 @@ class CanonicalResult:
 
     canonical: bool
     unreachable: tuple[int, ...]
-    results: tuple[SolveResult, ...]
 
 
 def oracle_solvable(
@@ -232,26 +228,16 @@ def is_cover_solvable(
     signed configurations.  When solvable, the returned certificate
     verifies and has a cycle-free support.  Its moves on the core number at
     most the deepening level at which they were found (so near-minimal, a
-    byproduct of the schedule rather than a promise); every pendant leaf
-    passes its whole folded surplus on.
+    byproduct of the schedule rather than a promise); each pendant leaf
+    passes on only the surplus that its neighbour cannot spare.
     """
     _check_dims(g, c, d)
-    n = g.n
-    base = [c.counts[k] - d.counts[k] for k in range(n)]
+    base = [a - b for a, b in zip(c.counts, d.counts)]
     if all(x >= 0 for x in base):
         return SolveResult(True, MoveList(), None, 0, 0)
-    # Potential numerators over 2**diam: a negative one proves unsolvability
-    # and names the same witness as gamma_witness, whose denominators differ
-    # only by powers of two.
-    dist = g._dist
-    diam = g.diameter
-    for z in range(n):
-        row = dist[z]
-        if sum([base[x] << (diam - row[x]) for x in range(n)]) < 0:
-            return SolveResult(False, None, z, 0, 0)
-    if sum(base) <= 0:
-        # too few pebbles to ever contain the demand: each move nets -1
-        return SolveResult(False, None, None, 0, 0)
+    witness = gamma_witness(g, c, d)
+    if witness is not None:
+        return SolveResult(False, None, witness, 0, 0)
 
     plan = search_plan(g)
     bal = base[:]  # fold each pendant tree into its attachment vertex
@@ -263,7 +249,8 @@ def is_cover_solvable(
     max_depth = 0
     moves: list[tuple[int, int, int]] = []
     if min(val) < 0:
-        # the same root checks on the folded core, with no witness to name
+        # the root checks on the folded core, with no witness to name: a
+        # negative potential, or too few pebbles, as each move nets -1
         pot = [sum([x * w for x, w in zip(val, row)]) for row in plan.weight]
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
@@ -286,10 +273,26 @@ def is_cover_solvable(
             level <<= 1
         core = plan.core
         moves = [(core[u], core[w], q) for (u, w), q in zip(order.edges, solution)]
-    # lift the core's moves back through the pendant trees
-    for leaf, nbr in plan.peel:
-        b = bal[leaf]
-        moves.append((leaf, nbr, b // 2) if b >= 0 else (nbr, leaf, -b))
+    if plan.peel:
+        # lift the core's moves back through the pendant trees, then trim
+        # them in reverse peel order (see the module docstring).  A deficit's
+        # move ends at a leaf with nothing to spare, so it keeps its count.
+        lift = [
+            (leaf, nbr, bal[leaf] // 2) if bal[leaf] >= 0 else (nbr, leaf, -bal[leaf])
+            for leaf, nbr in plan.peel
+        ]
+        spare = base[:]
+        for u, w, q in moves + lift:
+            spare[u] -= 2 * q
+            spare[w] += q
+        for i in range(len(lift) - 1, -1, -1):
+            u, w, q = lift[i]
+            cut = min(q, spare[w])
+            if cut > 0:
+                lift[i] = (u, w, q - cut)
+                spare[w] -= cut
+                spare[u] += 2 * cut
+        moves += lift
     return SolveResult(True, MoveList(moves), None, nodes, max_depth)
 
 
@@ -583,38 +586,6 @@ def normalize_acyclic(
     return MoveList(counts)
 
 
-def collapse_leaf(
-    g: Graph, c: Configuration, d: Demand, leaf: int
-) -> tuple[Graph, Configuration, Demand]:
-    """Remove a degree-1 vertex, folding its balance into the neighbour.
-
-    A surplus at the leaf is worth half, floored, to the neighbour; a
-    deficit costs the neighbour double.  The folded configuration is
-    solvable (in the signed sense) exactly when the original is, which is
-    what makes the pendant-tree fold of :func:`is_cover_solvable` exact.
-    """
-    _check_dims(g, c, d)
-    if g.n == 1:
-        raise SingletonGraph("cannot remove the last vertex")
-    if not 0 <= leaf < g.n:
-        raise ValueError(f"vertex {leaf} out of range")
-    if g.degree(leaf) != 1:
-        raise NotALeaf(f"vertex {leaf} has degree {g.degree(leaf)}")
-    (nbr,) = g.neighbors(leaf)
-    surplus = c.counts[leaf] - d.counts[leaf]
-    credit = surplus // 2 if surplus >= 0 else 2 * surplus
-    keep = [v for v in range(g.n) if v != leaf]
-    h, remap = g.induced_subgraph(keep)
-    new_counts = [c.counts[v] for v in keep]
-    new_counts[remap[nbr]] += credit
-    new_demand = tuple(d.counts[v] for v in keep)
-    cfg = Configuration(
-        tuple(new_counts),
-        extended=c.extended or any(x < 0 for x in new_counts),
-    )
-    return h, cfg, Demand(new_demand)
-
-
 def is_reachable(
     g: Graph,
     c: Configuration,
@@ -637,8 +608,7 @@ def is_canonical_solvable(
     """Is every vertex reachable?  Reports the unreachable ones."""
     if c.has_negative:
         raise ValueError("canonical solvability needs a non-negative configuration")
-    results = tuple(
-        is_reachable(g, c, v, node_cap=node_cap) for v in range(g.n)
+    unreachable = tuple(
+        v for v in range(g.n) if not is_reachable(g, c, v, node_cap=node_cap).solvable
     )
-    unreachable = tuple(v for v, res in enumerate(results) if not res.solvable)
-    return CanonicalResult(not unreachable, unreachable, results)
+    return CanonicalResult(not unreachable, unreachable)

@@ -240,11 +240,11 @@ def test_criterion_9_partial_execution_monotonicity_restriction():
     partial = monotone = restricted = 0
     while partial < 1000:
         g, c, d, ml = solvable_pool[partial % len(solvable_pool)]
-        sub = MoveList(
-            [(u, w, rng.randint(0, q)) for u, w, q in ml.items()]
-        )
+        split = [(u, w, q, rng.randint(0, q)) for u, w, q in ml.items()]
+        sub = MoveList([(u, w, k) for u, w, _, k in split])
+        rest = MoveList([(u, w, q - k) for u, w, q, k in split])
         stepped = apply_moves(g, c, sub)
-        assert verify_solution(g, stepped, d, ml - sub), (g, c, d, ml, sub)
+        assert verify_solution(g, stepped, d, rest), (g, c, d, ml, sub)
         partial += 1
 
     while monotone < 1000:

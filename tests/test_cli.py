@@ -79,6 +79,17 @@ class TestReachAndCanonical:
     def test_reach(self, p3_file):
         assert main(["reach", "--instance", p3_file, "--target", "v3"]) == 0
 
+    def test_reach_reads_the_instance_once(self, p3_file, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_instance(text)
+
+        monkeypatch.setattr("pebbling.cli.parse_instance", counting)
+        assert main(["reach", "--instance", p3_file, "--target", "v3"]) == 0
+        assert len(calls) == 1
+
     def test_reach_unreachable(self, tmp_path):
         path = tmp_path / "i.txt"
         path.write_text("vertices a b\nedge a b\nconfig a 1\n")
@@ -224,6 +235,11 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: elements 7, 8 lie in no set\n"
 
+    def test_node_cap_only_where_a_search_reads_it(self, p3_file, capsys):
+        # the number sweeps never search, so they refuse the flag
+        assert main(["number", "--instance", p3_file, "--node-cap", "5"]) == 2
+        assert "--node-cap" in capsys.readouterr().err
+
     def test_negative_node_cap(self, p3_file, capsys):
         # a negative cap used to start the search and end in exit 3
         for command in ("solve", "oracle"):
@@ -323,7 +339,9 @@ class TestFuzz:
                 with open(paths[name], "w", encoding="utf-8") as handle:
                     handle.write(text)
             argv = [*command, token] if command[-1].startswith("--") else list(command)
-            argv += ["--instance", paths["i"], "--node-cap", cap]
+            argv += ["--instance", paths["i"]]
+            if command[0] in ("solve", "reach", "canonical", "oracle"):
+                argv += ["--node-cap", cap]
             if command[0] == "verify":
                 argv += ["--certificate", paths["c"]]
             if command[0] == "reduce":

@@ -124,7 +124,7 @@ def test_apply_moves_is_additive(case, data):
         return MoveList([(u, w, 1) for u, w in picks])
     ml1, ml2 = random_ml(), random_ml()
     chained = apply_moves(g, apply_moves(g, c, ml1), ml2)
-    merged = apply_moves(g, c, ml1 + ml2)
+    merged = apply_moves(g, c, MoveList([*ml1.items(), *ml2.items()]))
     assert chained.counts == merged.counts
 
 
@@ -158,7 +158,7 @@ def test_normalize_acyclic_properties(case, data):
     pairs = g.directed_edges()
     if pairs:
         u, w = data.draw(st.sampled_from(pairs))
-        ml = ml + MoveList({(u, w): 1, (w, u): 1})
+        ml = MoveList([*ml.items(), (u, w, 1), (w, u, 1)])
     if not verify_solution(g, c, d, ml):
         return
     out = normalize_acyclic(g, c, d, ml)
@@ -251,6 +251,15 @@ def test_gamma_witness_is_sound(case):
     g, c, d = case
     if gamma_witness(g, c, d) is not None:
         assert not oracle_solvable(g, c, d)
+
+
+@given(instances(max_n=6, max_pebbles=10, max_demand=6))
+def test_gamma_witness_is_the_first_negative_gamma(case):
+    # gamma_witness sums over 2**diameter, gamma over 2**eccentricity; the
+    # two denominators differ by a power of two, so the signs agree
+    g, c, d = case
+    first = next((v for v in range(g.n) if gamma(g, c, d, v) < 0), None)
+    assert gamma_witness(g, c, d) == first
 
 
 @given(instances())

@@ -7,7 +7,6 @@ from pebbling import (
     MalformedInstance,
     NotACover,
     X4CInstance,
-    collapse_leaf,
     cover_certificate_from_exact_cover,
     is_cover_solvable,
     is_reachable,
@@ -20,6 +19,7 @@ from pebbling import (
     verify_solution,
     x4c_solve,
 )
+from universe import collapse_leaf
 
 FIG1 = X4CInstance(
     2, (frozenset({1, 2, 3, 4}), frozenset({3, 4, 5, 6}), frozenset({5, 6, 7, 8}))

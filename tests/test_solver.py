@@ -8,10 +8,7 @@ from pebbling import (
     Demand,
     Graph,
     MoveList,
-    NotALeaf,
     NotASolution,
-    SingletonGraph,
-    collapse_leaf,
     is_canonical_solvable,
     is_cover_solvable,
     is_reachable,
@@ -20,7 +17,7 @@ from pebbling import (
     verify_solution,
 )
 from pebbling.solver import _deficit_first, _uncoverable, search_plan
-from universe import fold_to_one_vertex, reference_uncoverable
+from universe import collapse_leaf, fold_to_one_vertex, reference_uncoverable
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
@@ -205,14 +202,6 @@ class TestCollapseLeaf:
         h, c, d = collapse_leaf(Graph.path(2), Configuration((0, 0)), Demand((0, 2)), 1)
         assert c.counts == (-4,) and c.extended
 
-    def test_not_a_leaf(self):
-        with pytest.raises(NotALeaf):
-            collapse_leaf(P3, Configuration((0, 0, 0)), Demand.zero(3), 1)
-
-    def test_singleton(self):
-        with pytest.raises(SingletonGraph):
-            collapse_leaf(Graph(1), Configuration((1,)), Demand((0,)), 0)
-
 
 class TestPendantFold:
     def test_p3_boundary(self):
@@ -245,16 +234,25 @@ class TestPendantFold:
     def test_certificate_lifts_onto_the_pendant_trees(self):
         # 4 owes 1, so 3 must send it one move and owes 2, so 2 must send 3
         # two moves and owes 4; 5's surplus 3 is worth one move onto 0.  The
-        # core then needs four moves 0 -> 2.
+        # core then needs four moves 0 -> 2, which leave 0 one pebble to
+        # spare, so 5's move is cut away.
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5)])
         c, d = Configuration((8, 0, 0, 0, 0, 3)), Demand((0, 0, 0, 0, 1, 0))
         result = is_cover_solvable(g, c, d)
         assert result.solvable
-        assert result.certificate == MoveList(
-            {(0, 2): 4, (2, 3): 2, (3, 4): 1, (5, 0): 1}
-        )
+        assert result.certificate == MoveList({(0, 2): 4, (2, 3): 2, (3, 4): 1})
         assert verify_solution(g, c, d, result.certificate)
         assert support_is_acyclic(result.certificate)
+
+    def test_lift_sends_only_what_the_neighbour_lacks(self):
+        # the fold passes 10 pebbles' worth along each surplus edge; the
+        # trim keeps only the moves the demand needs
+        result = is_cover_solvable(K2, Configuration((10, 0)), Demand((0, 1)))
+        assert result.certificate == MoveList({(0, 1): 1})
+        p4, c, d = Graph.path(4), Configuration((40, 0, 0, 0)), Demand((0, 0, 0, 1))
+        result = is_cover_solvable(p4, c, d)
+        assert result.certificate == MoveList({(0, 1): 4, (1, 2): 2, (2, 3): 1})
+        assert verify_solution(p4, c, d, result.certificate)
 
 
 class TestReachability:

@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from pebbling import Configuration, Demand, Graph, collapse_leaf, is_cover_solvable
+from pebbling import Configuration, Demand, Graph, is_cover_solvable
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +119,31 @@ def reference_uncoverable(into, val, succ, p) -> bool:
             if total < 0:
                 return True
     return False
+
+
+def collapse_leaf(
+    g: Graph, c: Configuration, d: Demand, leaf: int
+) -> tuple[Graph, Configuration, Demand]:
+    """Remove the degree-1 vertex ``leaf``, folding its balance into the
+    neighbour.
+
+    A surplus at the leaf is worth half, floored, to the neighbour; a
+    deficit costs the neighbour double.  The folded configuration is
+    solvable (in the signed sense) exactly when the original is: the
+    reference for the solver's pendant-tree fold, one leaf at a time.
+    """
+    (nbr,) = g.neighbors(leaf)
+    surplus = c.counts[leaf] - d.counts[leaf]
+    credit = surplus // 2 if surplus >= 0 else 2 * surplus
+    keep = [v for v in range(g.n) if v != leaf]
+    h, remap = g.induced_subgraph(keep)
+    new_counts = [c.counts[v] for v in keep]
+    new_counts[remap[nbr]] += credit
+    cfg = Configuration(
+        tuple(new_counts),
+        extended=c.extended or any(x < 0 for x in new_counts),
+    )
+    return h, cfg, Demand(tuple(d.counts[v] for v in keep))
 
 
 def fold_to_one_vertex(g: Graph, c: Configuration, d: Demand) -> bool:
