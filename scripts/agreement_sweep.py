@@ -6,12 +6,13 @@ that the move-list solver and the breadth-first oracle return the same
 verdict, that every certificate verifies with an acyclic support, that a
 negative potential is only ever reported for oracle-unsolvable instances,
 and that every tree folds to one vertex, so the solver decides it with no
-search.  Every graph on three or more vertices gets at least one chord
-over its spanning tree, so it carries a cycle and keeps a 2-core for the
-search to run on; the summary counts the cases that reached the search.
+search.  Every graph has three or more vertices.  One case in eight is a
+bare random spanning tree; every other graph gets at least one chord over
+it, so it carries a cycle and keeps a 2-core for the search to run on.  The
+summary counts the trees and the cases that reached the search.
 
 Example:
-    python scripts/agreement_sweep.py --cases 2000 --max-vertices 6 --seed 7
+    python scripts/agreement_sweep.py --cases 20000 --max-vertices 6 --seed 7
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from pebbling import (
     verify_solution,
 )
 
+TREE_SHARE = 8  # one case in this many keeps its spanning tree, with no chord
+
 
 def random_instance(rng: random.Random, max_n: int, max_pebbles: int, max_demand: int):
-    n = rng.randint(1, max_n)
+    n = rng.randint(3, max_n)
     edges = {(rng.randrange(v), v) for v in range(1, n)}
-    if n >= 3:
+    if rng.randrange(TREE_SHARE):
         chords = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
         edges.update(rng.sample(chords, rng.randint(1, min(n, len(chords)))))
     g = Graph(n, edges)
@@ -57,6 +60,8 @@ def main() -> int:
     parser.add_argument("--max-demand", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.max_vertices < 3:
+        parser.error("--max-vertices must be at least 3")
 
     rng = random.Random(args.seed)
     t0 = time.time()

@@ -14,9 +14,11 @@ Two independent engines answer the same question:
   iteratively deepened (doubling) up to ``|C| - |D|``, past which no list
   can work: each move loses one pebble net, so longer lists cannot end
   above the demand.  Per-directed-edge counts are branched deficit first:
-  the arcs into every vertex short of pebbles, by head and then tail, and
-  then the rest in ascending (from, to) order, so a deficit with no in-arcs
-  left is forced early.  Higher counts are tried first, restricted to
+  the arcs into every vertex short of pebbles, grouped by head in order of
+  its root potential margin, the tightest first, then by tail, and then
+  the rest in ascending (from, to) order, so the deficit nearest to
+  failing is forced first (a deficit with no in-arcs left must be lifted
+  at once).  Higher counts are tried first, restricted to
   cycle-free supports; partial assignments are pruned as soon as the
   outstanding per-vertex deficits exceed the remaining budget, a vertex
   with no incoming edges left cannot reach its demand, the exact potential
@@ -255,7 +257,7 @@ def is_cover_solvable(
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
             return SolveResult(False, None, None, 0, 0)
-        order = _deficit_first(plan, val)
+        order = _deficit_first(plan, val, pot)
         # Deepen the move budget geometrically up to the pebble-loss bound;
         # the final level alone is exhaustive, so unsolvability costs one
         # bounded pass while solvable instances exit at a level near their
@@ -296,18 +298,20 @@ def is_cover_solvable(
     return SolveResult(True, MoveList(moves), None, nodes, max_depth)
 
 
-def _deficit_first(plan: SearchPlan, base: list[int]) -> SearchPlan:
-    """``plan`` in this call's branching order, in O(arcs).
+def _deficit_first(plan: SearchPlan, base: list[int], pot: list[int]) -> SearchPlan:
+    """``plan`` in this call's branching order, in O(arcs + n log n).
 
-    The arcs into each vertex short of pebbles come first, by head and then
-    tail, so the q_min rule forces every deficit early (fail-first); the
-    rest keep the plan's ascending (from, to) order.  ``edge_delta`` rows
-    are shared with ``plan``; ``into`` is rebuilt over the new positions.
+    The arcs into each vertex short of pebbles come first, grouped by head
+    in ascending ``(pot[head], head)`` and by tail within a head, so the
+    q_min rule forces the deficit with the least root potential margin
+    first (fail-first); the rest keep the plan's ascending (from, to)
+    order.  ``edge_delta`` rows are shared with ``plan``; ``into`` is
+    rebuilt over the new positions.
     """
     edges = plan.edges
-    order = [p for a, x in enumerate(base) if x < 0 for _, p in plan.into[a]]
+    heads = sorted((pot[a], a) for a, x in enumerate(base) if x < 0)
+    order = [p for _, a in heads for _, p in plan.into[a]]
     order += [p for p, (_, w) in enumerate(edges) if base[w] >= 0]
-    edge_delta = plan.edge_delta
     into: list[list[tuple[int, int]]] = [[] for _ in base]
     for i, p in enumerate(order):
         u, w = edges[p]
@@ -315,7 +319,7 @@ def _deficit_first(plan: SearchPlan, base: list[int]) -> SearchPlan:
     # lists, not tuples: CPython 3.11 parks every freed 20-tuple on a free
     # list it never reuses, so a fresh tuple per call would pile up there
     return SearchPlan(
-        [edges[p] for p in order], [edge_delta[p] for p in order], into, *plan[3:]
+        [edges[p] for p in order], [plan.edge_delta[p] for p in order], into, *plan[3:]
     )
 
 

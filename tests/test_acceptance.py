@@ -154,14 +154,14 @@ def test_criterion_6_cover_solvability_reduction_round_trip():
     solved = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**8)
     assert solved.solvable
     # search cost is pinned so that a pruning change shows here in the open
-    assert solved.nodes_expanded == 719
+    assert solved.nodes_expanded == 160
 
     # unsolvable direction: exact search must close under the cap
     assert x4c_solve(NO_COVER) is None
     red = reduce_to_cover_solvability(NO_COVER)
     result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**8)
     assert not result.solvable
-    assert result.nodes_expanded == 786
+    assert result.nodes_expanded == 18
     _verdict(
         6,
         f"19-vertex no-cover instance closed in {result.nodes_expanded} nodes",

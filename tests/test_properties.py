@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from unittest.mock import patch
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pebbling import (
@@ -21,8 +23,9 @@ from pebbling import (
     pebbling_number,
     verify_solution,
 )
+from pebbling import solver
 from pebbling.solver import _deficit_first, _uncoverable, search_plan
-from universe import reference_threshold, reference_uncoverable
+from universe import reference_threshold, reference_uncoverable, root_potential
 
 
 @st.composite
@@ -61,6 +64,32 @@ def trees(draw, max_n: int = 7, max_pebbles: int = 10, max_demand: int = 4):
     for _ in range(draw(st.integers(0, max_demand))):
         demand[draw(st.integers(0, n - 1))] += 1
     return g, Configuration(tuple(counts)), Demand(tuple(demand))
+
+
+@st.composite
+def cyclic_instances(draw, max_n: int = 7, max_pebbles: int = 14):
+    # a cycle on 0..k-1 with pendant trees and chords, two or three cycle
+    # vertices short and every pebble elsewhere, so that most draws keep two
+    # deficits on the 2-core and get past the root checks into the search
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(3, n))
+    edges = [(v, (v + 1) % k) for v in range(k)]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(k, n)]
+    extra = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)
+    )
+    edges += [(u, v) for u, v in extra if u != v]
+    short = draw(
+        st.lists(st.integers(0, k - 1), min_size=2, max_size=min(3, n - 1), unique=True)
+    )
+    demand = [0] * n
+    for z in short:
+        demand[z] = draw(st.integers(1, 2))
+    others = [v for v in range(n) if v not in short]
+    counts = [0] * n
+    for _ in range(draw(st.integers(6, max_pebbles))):
+        counts[draw(st.sampled_from(others))] += 1
+    return Graph(n, edges), Configuration(tuple(counts)), Demand(tuple(demand))
 
 
 @given(instances())
@@ -301,9 +330,9 @@ def test_uncoverable_matches_the_full_walk(g, rng):
     m = len(search_plan(g).core)
     for _ in range(200):
         spread = rng.choice((2, 4, 8))
-        plan = _deficit_first(
-            search_plan(g), [rng.randint(-spread, spread) for _ in range(m)]
-        )
+        base = [rng.randint(-spread, spread) for _ in range(m)]
+        plan = search_plan(g)
+        plan = _deficit_first(plan, base, root_potential(plan, base))
         val = [rng.randint(-spread, spread) for _ in range(m)]
         p = rng.randint(0, len(plan.edges))
         succ = [set() for _ in range(m)]
@@ -315,3 +344,31 @@ def test_uncoverable_matches_the_full_walk(g, rng):
         assert _uncoverable(plan.into, val, succ, p, def_sum, pos_sum) == (
             reference_uncoverable(plan.into, val, succ, p)
         )
+
+
+@given(cyclic_instances())
+@settings(max_examples=200, deadline=None)
+def test_tightest_deficit_branches_first(case):
+    # the call's branching order, as handed to the search: the in-arcs of
+    # the deficits first, grouped by head in ascending (root potential,
+    # head) and by tail within a head, then the rest in plan order
+    g, c, d = case
+    seen = []
+    search = solver._search
+
+    def recording(order, val, pot, *rest):
+        if not seen:  # the search mutates val and pot; copy the first call's
+            seen.append((order, val[:], pot[:]))
+        return search(order, val, pot, *rest)
+
+    with patch.object(solver, "_search", recording):
+        result = is_cover_solvable(g, c, d)
+    assert lifted_certificate_holds(g, c, d, result)
+    assume(seen and sum(x < 0 for x in seen[0][1]) >= 2)
+    order, val, pot = seen[0]
+    plan = search_plan(g)
+    assert pot == root_potential(plan, val)
+    first = sorted(
+        (e for e in plan.edges if val[e[1]] < 0), key=lambda e: (pot[e[1]], e[1], e[0])
+    )
+    assert order.edges == first + [e for e in plan.edges if val[e[1]] >= 0]

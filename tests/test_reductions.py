@@ -227,6 +227,37 @@ class TestCollapseConsistency:
         assert pebbling_number(Graph.path(4)).value == 8
 
 
+# Slack 3 (m - n = 3), the frontier of the x4c-ladder cap: per (n, seed), a
+# family without and one with an exact cover, as bench/inputs.py's
+# _draw_sets draws them from random.Random(f"frontier:{n}:3:{seed}:{yes}"),
+# with the nodes each closes in.  With the deficits branched by head index,
+# the n = 2 seed 1 pair took 672,634 and 1,193,245 nodes, and n = 3 seed 1
+# (yes) ran past the cap; branching the collector's deficit first, the one
+# with the least root potential margin, closes every one well under it.
+FRONTIER = [
+    (2, [{2, 3, 4, 7}, {1, 3, 4, 7}, {1, 2, 3, 6}, {1, 3, 5, 7}, {5, 6, 7, 8}],
+     False, 2_555),
+    (2, [{1, 2, 4, 6}, {1, 3, 4, 5}, {2, 4, 6, 8}, {4, 6, 7, 8}, {1, 2, 3, 5}],
+     True, 1_046),
+    (2, [{1, 3, 4, 5}, {2, 3, 6, 7}, {1, 2, 4, 6}, {5, 6, 7, 8}, {1, 2, 3, 8}],
+     False, 6_679),
+    (2, [{1, 4, 7, 8}, {4, 5, 6, 8}, {3, 6, 7, 8}, {2, 3, 6, 7}, {1, 2, 3, 7}],
+     True, 1_257),
+    (3, [{4, 6, 8, 10}, {2, 5, 9, 10}, {3, 4, 7, 12}, {4, 8, 9, 10}, {1, 3, 6, 11},
+         {1, 2, 3, 9}], False, 1_700),
+    (3, [{5, 6, 7, 9}, {3, 7, 9, 10}, {1, 2, 3, 8}, {4, 10, 11, 12}, {4, 8, 11, 12},
+         {1, 5, 7, 8}], True, 43_797),
+    (3, [{2, 5, 11, 12}, {3, 5, 9, 10}, {1, 2, 6, 11}, {3, 4, 5, 8}, {4, 7, 8, 11},
+         {5, 6, 7, 11}], False, 3_154),
+    (3, [{2, 6, 7, 10}, {5, 6, 7, 9}, {1, 4, 5, 9}, {1, 7, 8, 9}, {4, 8, 11, 12},
+         {1, 3, 5, 9}], True, 702),
+    (4, [{1, 3, 10, 15}, {7, 8, 14, 16}, {7, 11, 12, 16}, {4, 7, 9, 10},
+         {5, 7, 13, 16}, {1, 3, 12, 15}, {2, 6, 10, 13}], False, 676),
+    (4, [{1, 6, 8, 11}, {4, 9, 10, 15}, {3, 12, 14, 16}, {5, 8, 9, 13},
+         {3, 4, 9, 13}, {1, 9, 12, 15}, {2, 5, 7, 13}], True, 2_126),
+]
+
+
 class TestRoundTrips:
     def test_cover_reduction_solvable_direction(self):
         red = reduce_to_cover_solvability(FIG1)
@@ -234,14 +265,27 @@ class TestRoundTrips:
         assert result.solvable
 
     def test_slack_two_no_instance_closes_under_the_ladder_cap(self):
-        # the x4c-ladder cap; under branching in plain (from, to) order this
-        # instance runs past it, and without folding its pendant trees it
-        # needs 129,972 nodes
+        # the x4c-ladder cap.  Under branching in plain (from, to) order this
+        # instance runs past it; with the deficits branched by head index it
+        # took 35,750 nodes, and 129,972 without folding its pendant trees.
+        # Branching the collector's deficit, the tightest, first closes it
+        # in a few hundred.
         assert x4c_solve(SLACK2_NO) is None
         red = reduce_to_cover_solvability(SLACK2_NO)
         result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=3_000_000)
         assert not result.solvable
-        assert result.nodes_expanded == 35_750
+        assert result.nodes_expanded == 138
+
+    @pytest.mark.parametrize(("n", "sets", "yes", "nodes"), FRONTIER)
+    def test_slack_three_frontier_closes_under_the_ladder_cap(self, n, sets, yes, nodes):
+        inst = X4CInstance(n, tuple(map(frozenset, sets)))
+        assert (x4c_solve(inst) is not None) == yes
+        red = reduce_to_cover_solvability(inst)
+        result = is_cover_solvable(red.graph, red.config, red.demand, node_cap=3_000_000)
+        assert result.solvable == yes
+        assert result.nodes_expanded == nodes
+        if yes:
+            assert verify_solution(red.graph, red.config, red.demand, result.certificate)
 
     def test_cover_certificates_verify_across_small_instances(self):
         import random

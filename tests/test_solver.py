@@ -17,7 +17,12 @@ from pebbling import (
     verify_solution,
 )
 from pebbling.solver import _deficit_first, _uncoverable, search_plan
-from universe import collapse_leaf, fold_to_one_vertex, reference_uncoverable
+from universe import (
+    collapse_leaf,
+    fold_to_one_vertex,
+    reference_uncoverable,
+    root_potential,
+)
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
@@ -113,18 +118,23 @@ class TestIsCoverSolvable:
         assert result.solvable and verify_solution(g, c, d, result.certificate)
 
     def test_deficit_first_order(self):
-        # C_4 with 0 and 2 short: their in-arcs by head then tail, the rest
-        # in plan order
+        # C_4 with 0 and 2 short: their in-arcs by ascending root potential
+        # of the head, then by tail, the rest in plan order.  Both sit next
+        # to the surplus at 1, but 2 owes more: potential -3 against 0's 0,
+        # so it comes first although its label is larger
         g = Graph.cycle(4)
         plan = search_plan(g)
-        order = _deficit_first(plan, [-1, 3, -2, 0])
+        val = [-1, 3, -2, 0]
+        pot = root_potential(plan, val)
+        assert pot[0] == 0 and pot[2] == -3
+        order = _deficit_first(plan, val, pot)
         assert order.edges == [
-            (1, 0), (3, 0), (1, 2), (3, 2), (0, 1), (0, 3), (2, 1), (2, 3)
+            (1, 2), (3, 2), (1, 0), (3, 0), (0, 1), (0, 3), (2, 1), (2, 3)
         ]
         for p, arc in enumerate(order.edges):
             assert order.edge_delta[p] is plan.edge_delta[plan.edges.index(arc)]
-        assert order.into == [[(1, 0), (3, 1)], [(0, 4), (2, 6)],
-                              [(1, 2), (3, 3)], [(0, 5), (2, 7)]]
+        assert order.into == [[(1, 2), (3, 3)], [(0, 4), (2, 6)],
+                              [(1, 0), (3, 1)], [(0, 5), (2, 7)]]
 
     def test_uncoverable_waits_for_deficits_one_layer_deeper(self):
         # centre 0 holds 7 pebbles for 2, 3, 4 owing 1, 3 and 2.  The walk
@@ -134,8 +144,9 @@ class TestIsCoverSolvable:
         # vertex lies on a cycle, so the plan's core positions are the labels.
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4), (1, 3)])
         assert search_plan(g).core == [0, 1, 2, 3, 4]
+        plan = search_plan(g)
         val = [7, 0, -1, -3, -2]
-        into = _deficit_first(search_plan(g), val).into
+        into = _deficit_first(plan, val, root_potential(plan, val)).into
         succ = [set() for _ in val]
         assert reference_uncoverable(into, val, succ, 0)
         assert _uncoverable(into, val, succ, 0, 6, 7)

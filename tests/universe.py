@@ -92,6 +92,12 @@ def random_spread(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def root_potential(plan, val) -> list[int]:
+    """The potential numerators of balances ``val`` over ``plan``'s core:
+    per core vertex ``z``, ``sum(val[x] * plan.weight[z][x])``."""
+    return [sum(x * w for x, w in zip(val, row)) for row in plan.weight]
+
+
 def reference_uncoverable(into, val, succ, p) -> bool:
     """The solver's 2-cycle pass as a plain BFS that walks every layer.
 
