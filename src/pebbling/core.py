@@ -30,10 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
-
-if TYPE_CHECKING:
-    from .solver import SearchPlan
+from typing import Iterable, Iterator, Mapping
 
 
 class PebblingError(Exception):
@@ -58,12 +55,11 @@ class Graph:
     Vertices are identified by index; external names are resolved to indices
     at the I/O boundary.  All-pairs distances and the diameter are computed
     once by BFS at construction, so distance queries are table lookups.
-    Instances are immutable after construction and safe to share across
-    threads; the one lazily filled cache, the solver's search plan kept by
-    :func:`pebbling.solver.search_plan`, only ever receives equal values.
+    Instances are immutable after construction, hold no cache, and are safe
+    to share across threads.
     """
 
-    __slots__ = ("n", "edges", "diameter", "_adj", "_dist", "_plan")
+    __slots__ = ("n", "edges", "diameter", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -84,7 +80,6 @@ class Graph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._dist = tuple(self._bfs(v) for v in range(n))
         self.diameter = max(max(row) for row in self._dist)
-        self._plan: SearchPlan | None = None
 
     def _bfs(self, source: int) -> tuple[int, ...]:
         dist = [-1] * self.n

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .core import BudgetExceeded, Configuration, Demand, Graph, PebblingError
+from .core import BudgetExceeded, Configuration, Demand, Graph, PebblingError, _check_dims
 
 DEFAULT_CONFIG_CAP = 10_000_000
 
@@ -82,8 +82,7 @@ def stacking_lower_bound(g: Graph, d: Demand) -> int:
     cover pebbling theorem says the bound is the value for strictly
     positive demands; the tests check that against the sweep.
     """
-    if len(d.counts) != g.n:
-        raise ValueError("demand covers a different vertex set")
+    _check_dims(g, d)
     return max(
         sum(d.counts[u] << g.distance(u, v) for u in range(g.n))
         for v in range(g.n)
@@ -172,8 +171,7 @@ def cover_pebbling_number(
     For the unit demand the sweep is guarded by the proven ``2**n - 1``
     ceiling.
     """
-    if len(d.counts) != g.n:
-        raise ValueError("demand covers a different vertex set")
+    _check_dims(g, d)
     if d.size == 0:
         raise ZeroDemand("demand must request at least one pebble")
     unit = d.counts == (1,) * g.n

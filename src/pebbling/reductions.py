@@ -25,8 +25,9 @@ constructions can be audited against their drawings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import Configuration, Demand, Graph, MoveList, PebblingError
+from .core import Configuration, Demand, Graph, MoveList, PebblingError, _check_dims
 
 
 class MalformedInstance(PebblingError):
@@ -105,28 +106,28 @@ def x4c_solve(inst: X4CInstance) -> list[int] | None:
 
     Backtracks on the lowest uncovered element, trying the sets that
     contain it in ascending index order, so the returned cover is
-    deterministic.
+    deterministic.  The backtracking runs on an explicit stack, so a cover
+    of any size stays clear of the interpreter's recursion limit.
     """
     universe = inst.universe
+    sets = inst.sets
     containing: dict[int, list[int]] = {e: [] for e in universe}
-    for i, s in enumerate(inst.sets):
+    for i, s in enumerate(sets):
         for e in s:
             containing[e].append(i)
-
-    def backtrack(covered: frozenset[int], chosen: list[int]) -> list[int] | None:
-        if covered == universe:
-            return chosen
-        lowest = min(universe - covered)
-        for i in containing[lowest]:
-            s = inst.sets[i]
-            if covered & s:
-                continue
-            found = backtrack(covered | s, chosen + [i])
-            if found is not None:
-                return found
-        return None
-
-    return backtrack(frozenset(), [])
+    chosen: list[int] = []  # the set chosen for each open element, lowest first
+    untried: list[Iterator[int]] = []  # per open element, its sets not yet tried
+    covered: frozenset[int] = frozenset()
+    while covered != universe:
+        untried.append(iter(containing[min(universe - covered)]))
+        while (i := next((j for j in untried[-1] if not covered & sets[j]), None)) is None:
+            untried.pop()
+            if not untried:
+                return None
+            covered -= sets[chosen.pop()]
+        chosen.append(i)
+        covered |= sets[i]
+    return chosen
 
 
 def _check_cover(inst: X4CInstance, cover: list[int]) -> None:
@@ -254,8 +255,7 @@ def reduce_cover_to_canonical(g: Graph, c: Configuration) -> ReducedInstance:
     solvability, reachability of the tail end, and unit-cover solvability
     of the input all coincide on the result.
     """
-    if len(c.counts) != g.n:
-        raise ValueError("configuration covers a different vertex set")
+    _check_dims(g, c)
     if c.has_negative:
         raise ValueError("the canonical construction needs non-negative input")
     n = g.n

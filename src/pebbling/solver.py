@@ -6,11 +6,11 @@ Two independent engines answer the same question:
   following the move-sequence definition verbatim.  It is the ground truth
   at small scale and the reference the move-list solver is tested against.
 
-* :func:`is_cover_solvable` searches directly over move lists.  Its
-  graph-only tables form a :class:`SearchPlan`, built once per graph on the
-  first call that gets past the root checks and kept on the graph.  The
-  search itself runs on an explicit stack, one frame per edge position, so
-  it never touches the interpreter's recursion limit.  The move budget is
+* :func:`is_cover_solvable` searches directly over move lists.  Each call
+  that gets past the root checks builds its own arcs and tables, already
+  in its branching order, in O(arcs * n); nothing is kept on the graph.
+  The search runs on an explicit stack, one frame per edge position, so it
+  never touches the interpreter's recursion limit.  The move budget is
   iteratively deepened (doubling) up to ``|C| - |D|``, past which no list
   can work: each move loses one pebble net, so longer lists cannot end
   above the demand.  Per-directed-edge counts are branched deficit first:
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 from .core import (
     BudgetExceeded,
@@ -156,34 +155,12 @@ def oracle_solvable(
     return False
 
 
-class SearchPlan(NamedTuple):
-    """The tables of :func:`is_cover_solvable` that depend only on the graph.
+def _peel(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pendant trees of ``g``, peeled in O(n + edges).
 
-    Built once per graph by :func:`search_plan` and kept on it, so repeated
-    decisions on one graph pay for them once.  The search runs on the
-    2-core: ``peel`` holds the peeled ``(leaf, neighbour)`` pairs in peel
-    order, ``core`` the vertices kept, and every other table indexes a
-    core vertex by its position in ``core``.  Its size is O(arcs * n), all
-    in ``edge_delta``.  Read-only.
+    Returns the ``(leaf, neighbour)`` pairs, each leaf peeled before its
+    neighbour, and the vertices of the 2-core left over, ascending.
     """
-
-    edges: Sequence[tuple[int, int]]  # ascending (from, to); a call reorders it
-    edge_delta: list[list[int]]  # [p][z]: potential change of one move on edges[p]
-    into: list[Sequence[tuple[int, int]]]  # [a]: (u, p) per arc edges[p] = (u, a), by p
-    core: Sequence[int]  # [i]: the vertex of the graph at core position i, ascending
-    peel: Sequence[tuple[int, int]]  # (leaf, neighbour), each leaf peeled before its neighbour
-    weight: Sequence[Sequence[int]]  # [z][x]: 2**(core diameter - dist(x, z))
-
-
-def search_plan(g: Graph) -> SearchPlan:
-    """The search plan of ``g``: built on first use, then kept on ``g``."""
-    plan = g._plan
-    if plan is None:
-        plan = g._plan = _build_plan(g)
-    return plan
-
-
-def _build_plan(g: Graph) -> SearchPlan:
     adj = g._adj
     deg = [len(nbrs) for nbrs in adj]
     peel: list[tuple[int, int]] = []
@@ -198,21 +175,7 @@ def _build_plan(g: Graph) -> SearchPlan:
         if deg[nbr] == 1:
             leaves.append(nbr)
     gone = {leaf for leaf, _ in peel}
-    core = [v for v in range(g.n) if v not in gone]
-    pos = {v: i for i, v in enumerate(core)}
-    edges = [(i, pos[w]) for i, v in enumerate(core) for w in adj[v] if w in pos]
-    dist = [[g._dist[x][z] for x in core] for z in core]
-    diam = max(map(max, dist))
-    weight = [[1 << (diam - k) for k in row] for row in dist]
-    edge_delta = [
-        [weight[w][z] - 2 * weight[u][z] for z in range(len(core))] for u, w in edges
-    ]
-    into: list[list[tuple[int, int]]] = [[] for _ in core]
-    for p, (u, w) in enumerate(edges):
-        into[w].append((u, p))
-    return SearchPlan(
-        edges, edge_delta, [tuple(arcs) for arcs in into], core, peel, weight
-    )
+    return peel, [v for v in range(g.n) if v not in gone]
 
 
 def is_cover_solvable(
@@ -241,23 +204,26 @@ def is_cover_solvable(
     if witness is not None:
         return SolveResult(False, None, witness, 0, 0)
 
-    plan = search_plan(g)
+    peel, core = _peel(g)
     bal = base[:]  # fold each pendant tree into its attachment vertex
-    for leaf, nbr in plan.peel:
+    for leaf, nbr in peel:
         b = bal[leaf]
         bal[nbr] += b // 2 if b >= 0 else 2 * b
-    val = [bal[v] for v in plan.core]
+    val = [bal[v] for v in core]
     nodes = 0
     max_depth = 0
     moves: list[tuple[int, int, int]] = []
     if min(val) < 0:
         # the root checks on the folded core, with no witness to name: a
         # negative potential, or too few pebbles, as each move nets -1
-        pot = [sum([x * w for x, w in zip(val, row)]) for row in plan.weight]
+        dist = [[g._dist[z][x] for x in core] for z in core]
+        diam = max(map(max, dist))
+        weight = [[1 << (diam - k) for k in row] for row in dist]
+        pot = [sum([x * w for x, w in zip(val, row)]) for row in weight]
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
             return SolveResult(False, None, None, 0, 0)
-        order = _deficit_first(plan, val, pot)
+        edges, edge_delta, into = _arcs(g, core, val, pot, weight)
         # Deepen the move budget geometrically up to the pebble-loss bound;
         # the final level alone is exhaustive, so unsolvability costs one
         # bounded pass while solvable instances exit at a level near their
@@ -266,22 +232,21 @@ def is_cover_solvable(
         while True:
             level = min(level, budget)
             solution, nodes, max_depth = _search(
-                order, val, pot, level, node_cap, nodes, max_depth
+                edges, edge_delta, into, val, pot, level, node_cap, nodes, max_depth
             )
             if solution is not None:
                 break
             if level == budget:
                 return SolveResult(False, None, None, nodes, max_depth)
             level <<= 1
-        core = plan.core
-        moves = [(core[u], core[w], q) for (u, w), q in zip(order.edges, solution)]
-    if plan.peel:
+        moves = [(core[u], core[w], q) for (u, w), q in zip(edges, solution)]
+    if peel:
         # lift the core's moves back through the pendant trees, then trim
         # them in reverse peel order (see the module docstring).  A deficit's
         # move ends at a leaf with nothing to spare, so it keeps its count.
         lift = [
             (leaf, nbr, bal[leaf] // 2) if bal[leaf] >= 0 else (nbr, leaf, -bal[leaf])
-            for leaf, nbr in plan.peel
+            for leaf, nbr in peel
         ]
         spare = base[:]
         for u, w, q in moves + lift:
@@ -298,29 +263,29 @@ def is_cover_solvable(
     return SolveResult(True, MoveList(moves), None, nodes, max_depth)
 
 
-def _deficit_first(plan: SearchPlan, base: list[int], pot: list[int]) -> SearchPlan:
-    """``plan`` in this call's branching order, in O(arcs + n log n).
+def _arcs(
+    g: Graph, core: list[int], val: list[int], pot: list[int], weight: list[list[int]]
+) -> tuple[list[tuple[int, int]], list[list[int]], list[list[tuple[int, int]]]]:
+    """The core's arcs in this call's branching order, with their tables.
 
-    The arcs into each vertex short of pebbles come first, grouped by head
-    in ascending ``(pot[head], head)`` and by tail within a head, so the
-    q_min rule forces the deficit with the least root potential margin
-    first (fail-first); the rest keep the plan's ascending (from, to)
-    order.  ``edge_delta`` rows are shared with ``plan``; ``into`` is
-    rebuilt over the new positions.
+    Arcs join core positions.  The arcs into each vertex short of pebbles
+    come first, grouped by head in ascending ``(pot[head], head)`` and by
+    tail within a head, so the q_min rule forces the deficit with the least
+    root potential margin first (fail-first); the rest follow in ascending
+    (from, to) order.  ``edge_delta[p][z]`` is the potential change at
+    ``z`` of one move on ``edges[p]``, and ``into[a]`` holds ``(u, p)`` per
+    arc ``edges[p] = (u, a)``, by ``p``.
     """
-    edges = plan.edges
-    heads = sorted((pot[a], a) for a, x in enumerate(base) if x < 0)
-    order = [p for _, a in heads for _, p in plan.into[a]]
-    order += [p for p, (_, w) in enumerate(edges) if base[w] >= 0]
-    into: list[list[tuple[int, int]]] = [[] for _ in base]
-    for i, p in enumerate(order):
-        u, w = edges[p]
-        into[w].append((u, i))
-    # lists, not tuples: CPython 3.11 parks every freed 20-tuple on a free
-    # list it never reuses, so a fresh tuple per call would pile up there
-    return SearchPlan(
-        [edges[p] for p in order], [plan.edge_delta[p] for p in order], into, *plan[3:]
-    )
+    pos = {v: i for i, v in enumerate(core)}
+    nbrs = [[pos[x] for x in g._adj[v] if x in pos] for v in core]
+    heads = sorted((pot[a], a) for a, x in enumerate(val) if x < 0)
+    edges = [(u, a) for _, a in heads for u in nbrs[a]]
+    edges += [(u, w) for u, out in enumerate(nbrs) for w in out if val[w] >= 0]
+    edge_delta = [[tw - 2 * tu for tw, tu in zip(weight[w], weight[u])] for u, w in edges]
+    into: list[list[tuple[int, int]]] = [[] for _ in core]
+    for p, (u, w) in enumerate(edges):
+        into[w].append((u, p))
+    return edges, edge_delta, into
 
 
 def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
@@ -341,7 +306,7 @@ def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
 
 
 def _uncoverable(
-    into: list[Sequence[tuple[int, int]]], val: list[int], succ: list[set[int]],
+    into: list[list[tuple[int, int]]], val: list[int], succ: list[set[int]],
     p: int, def_sum: int, pos_sum: int
 ) -> bool:
     """Is some deficit beyond cover through the remaining arcs, ``edges[p:]``?
@@ -394,50 +359,51 @@ def _uncoverable(
 
 
 def _search(
-    plan: SearchPlan,
+    edges: list[tuple[int, int]],
+    edge_delta: list[list[int]],
+    into: list[list[tuple[int, int]]],
     val: list[int],
     pot: list[int],
-    r: int,
+    level: int,
     node_cap: int,
     nodes: int,
     max_depth: int,
 ) -> tuple[list[int] | None, int, int]:
-    """One depth-first pass over move lists of at most ``r`` moves.
+    """One depth-first pass over move lists of at most ``level`` moves.
 
-    The stack holds one frame per open edge position.  ``val`` (balances)
-    and ``pot`` (potential numerators) are updated in place and restored on
-    the way back.  Returns the per-edge counts of a solution or None, with
-    the running node count and deepest move total.
+    The tables are those of :func:`_arcs`.  The stack holds one frame per
+    open edge position, so when every deficit is met the counts of a
+    solution are read off it, one per position up to the current one (the
+    rest are zero).  ``val`` (balances) and ``pot`` (potential numerators)
+    are updated in place and restored on the way back.  Returns those
+    counts or None, with the running node count and deepest move total.
     """
-    edges = plan.edges
-    edge_delta = plan.edge_delta
-    into = plan.into
     n = len(val)
     rng_n = range(n)
     in_pending = [len(arcs) for arcs in into]
     succ: list[set[int]] = [set() for _ in rng_n]
-    counts = [0] * len(edges)
     def_sum = sum(-x for x in val if x < 0)
-    val_sum = sum(val)  # sum(val) is val_sum - depth: each move nets -1
+    val_sum = sum(val) - level  # sum(val) is val_sum + r: each move nets -1
     stack: list[tuple] = []
     p = 0
-    depth = 0
+    r = level
     while True:
         # Enter the node at position p with r moves left; if it opens, set up
         # its count loop (u, w, vu, vw, q, q_min, delta).
         if def_sum == 0:
-            # every deficit met; zeros on the remaining edges finish the list
-            return counts, nodes, max_depth
+            # every deficit met: each frame holds its position's count q at
+            # index 6, and zeros on the remaining edges finish the list
+            return [frame[6] for frame in stack], nodes, max_depth
         backtrack = True
         if def_sum <= r:
-            if depth > max_depth:
-                max_depth = depth
+            if level - r > max_depth:
+                max_depth = level - r
             # the 2-cycle pass: every deficit must still be coverable through
             # the remaining arcs (past the last arc, none is).  Each deficit's
             # walk stops once the layers left, weighing at most 1 << (n - d -
             # 1) after depth d, cannot change the sign of its sum, so it
             # prunes exactly as the full walk would.
-            pos_sum = val_sum - depth + def_sum
+            pos_sum = val_sum + r + def_sum
             if not _uncoverable(into, val, succ, p, def_sum, pos_sum):
                 u, w = edges[p]
                 in_pending[w] -= 1
@@ -468,9 +434,8 @@ def _search(
             if backtrack:
                 if not stack:
                     return None, nodes, max_depth
-                p, r, depth, u, w, vu, vw, q, q_min, delta, old_def, added = stack.pop()
+                p, r, u, w, vu, vw, q, q_min, delta, old_def, added = stack.pop()
                 if q:
-                    counts[p] = 0
                     if added:
                         succ[u].discard(w)
                     val[u] = vu
@@ -488,7 +453,7 @@ def _search(
             if nodes > node_cap:
                 raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
             if q == 0:
-                stack.append((p, r, depth, u, w, vu, vw, 0, q_min, delta, def_sum, False))
+                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum, False))
                 p += 1
                 break
             nvu = vu - 2 * q
@@ -525,12 +490,10 @@ def _search(
             added = w not in succ[u]
             if added:
                 succ[u].add(w)
-            counts[p] = q
-            stack.append((p, r, depth, u, w, vu, vw, q, q_min, delta, def_sum, added))
+            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum, added))
             def_sum = ndef
             p += 1
             r -= q
-            depth += q
             break
 
 

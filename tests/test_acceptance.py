@@ -153,8 +153,14 @@ def test_criterion_6_cover_solvability_reduction_round_trip():
     assert verify_solution(red.graph, red.config, red.demand, cert)
     solved = is_cover_solvable(red.graph, red.config, red.demand, node_cap=10**8)
     assert solved.solvable
-    # search cost is pinned so that a pruning change shows here in the open
+    # search cost, depth and certificate are pinned so that a pruning or
+    # branching change shows here in the open
     assert solved.nodes_expanded == 160
+    assert solved.max_depth == 9
+    assert solved.certificate.moves == (
+        (8, 0, 1), (8, 1, 1), (8, 2, 1), (8, 3, 1), (9, 12, 4), (10, 4, 1),
+        (10, 5, 1), (10, 6, 1), (10, 7, 1), (12, 15, 2), (15, 17, 1), (17, 18, 1),
+    )
 
     # unsolvable direction: exact search must close under the cap
     assert x4c_solve(NO_COVER) is None

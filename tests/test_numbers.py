@@ -9,6 +9,7 @@ from pebbling import (
     BudgetExceeded,
     Configuration,
     Demand,
+    DimensionMismatch,
     Graph,
     ZeroDemand,
     cover_pebbling_number,
@@ -58,6 +59,10 @@ class TestCoverPebblingNumber:
     def test_zero_demand_rejected(self):
         with pytest.raises(ZeroDemand):
             cover_pebbling_number(Graph.complete(2), Demand.zero(2))
+
+    def test_rejects_demand_of_other_size(self):
+        with pytest.raises(DimensionMismatch):
+            cover_pebbling_number(Graph.complete(2), Demand.unit(3))
 
     def test_config_cap_raises(self):
         with pytest.raises(BudgetExceeded):
@@ -272,6 +277,10 @@ class TestStackingLowerBound:
 
     def test_single_vertex(self):
         assert stacking_lower_bound(Graph(1), Demand((5,))) == 5
+
+    def test_rejects_demand_of_other_size(self):
+        with pytest.raises(DimensionMismatch):
+            stacking_lower_bound(Graph.path(3), Demand.unit(2))
 
     def test_never_exceeds_enumerated_value(self):
         for g in (Graph.path(3), Graph.star(3), Graph.cycle(4), Graph.complete(3)):

@@ -24,8 +24,8 @@ from pebbling import (
     verify_solution,
 )
 from pebbling import solver
-from pebbling.solver import _deficit_first, _uncoverable, search_plan
-from universe import reference_threshold, reference_uncoverable, root_potential
+from pebbling.solver import _arcs, _peel, _uncoverable
+from universe import core_weight, reference_threshold, reference_uncoverable, root_potential
 
 
 @st.composite
@@ -168,11 +168,9 @@ def test_solver_certificates_match_oracle(case):
 @given(instances(), st.data())
 def test_solve_with_built_plan_matches_fresh_graph(case, data):
     g, c, d = case
-    plan = search_plan(g)
-    # an earlier search on g must leave nothing behind in the shared plan
+    # an earlier search on g must leave nothing behind on g
     other = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
     is_cover_solvable(g, Configuration(tuple(other)), Demand.unit(g.n))
-    assert search_plan(g) is plan
     assert is_cover_solvable(g, c, d) == is_cover_solvable(Graph(g.n, g.edges), c, d)
 
 
@@ -324,25 +322,26 @@ def test_uncoverable_matches_the_full_walk(g, rng):
     # the pass stops each deficit's walk once its sign is settled; on any
     # state it must give the verdict of the walk over every layer.  A sign
     # that flips late needs several deficits near the margin, about one
-    # state in a few thousand, so each graph gets 200 states.  The plan
-    # indexes the 2-core of g, so states are drawn over its vertices; about
+    # state in a few thousand, so each graph gets 200 states.  The arcs
+    # join the 2-core of g, so states are drawn over its vertices; about
     # half the graphs drawn fold to one vertex, hence 200 graphs.
-    m = len(search_plan(g).core)
+    _, core = _peel(g)
+    m = len(core)
+    weight = core_weight(g, core)
     for _ in range(200):
         spread = rng.choice((2, 4, 8))
         base = [rng.randint(-spread, spread) for _ in range(m)]
-        plan = search_plan(g)
-        plan = _deficit_first(plan, base, root_potential(plan, base))
+        edges, _, into = _arcs(g, core, base, root_potential(weight, base), weight)
         val = [rng.randint(-spread, spread) for _ in range(m)]
-        p = rng.randint(0, len(plan.edges))
+        p = rng.randint(0, len(edges))
         succ = [set() for _ in range(m)]
-        for u, w in plan.edges[:p]:
+        for u, w in edges[:p]:
             if rng.random() < 0.3:
                 succ[u].add(w)
         def_sum = sum(-x for x in val if x < 0)
         pos_sum = sum(x for x in val if x > 0)
-        assert _uncoverable(plan.into, val, succ, p, def_sum, pos_sum) == (
-            reference_uncoverable(plan.into, val, succ, p)
+        assert _uncoverable(into, val, succ, p, def_sum, pos_sum) == (
+            reference_uncoverable(into, val, succ, p)
         )
 
 
@@ -351,24 +350,26 @@ def test_uncoverable_matches_the_full_walk(g, rng):
 def test_tightest_deficit_branches_first(case):
     # the call's branching order, as handed to the search: the in-arcs of
     # the deficits first, grouped by head in ascending (root potential,
-    # head) and by tail within a head, then the rest in plan order
+    # head) and by tail within a head, then the rest in ascending (from, to)
     g, c, d = case
     seen = []
     search = solver._search
 
-    def recording(order, val, pot, *rest):
+    def recording(edges, edge_delta, into, val, pot, *rest):
         if not seen:  # the search mutates val and pot; copy the first call's
-            seen.append((order, val[:], pot[:]))
-        return search(order, val, pot, *rest)
+            seen.append((edges, val[:], pot[:]))
+        return search(edges, edge_delta, into, val, pot, *rest)
 
     with patch.object(solver, "_search", recording):
         result = is_cover_solvable(g, c, d)
     assert lifted_certificate_holds(g, c, d, result)
     assume(seen and sum(x < 0 for x in seen[0][1]) >= 2)
-    order, val, pot = seen[0]
-    plan = search_plan(g)
-    assert pot == root_potential(plan, val)
+    edges, val, pot = seen[0]
+    _, core = _peel(g)
+    assert pot == root_potential(core_weight(g, core), val)
+    pos = {v: i for i, v in enumerate(core)}
+    arcs = sorted((pos[u], pos[w]) for u, w in g.directed_edges() if u in pos and w in pos)
     first = sorted(
-        (e for e in plan.edges if val[e[1]] < 0), key=lambda e: (pot[e[1]], e[1], e[0])
+        (e for e in arcs if val[e[1]] < 0), key=lambda e: (pot[e[1]], e[1], e[0])
     )
-    assert order.edges == first + [e for e in plan.edges if val[e[1]] >= 0]
+    assert edges == first + [e for e in arcs if val[e[1]] >= 0]

@@ -3,6 +3,7 @@ import pytest
 from pebbling import (
     Configuration,
     Demand,
+    DimensionMismatch,
     Graph,
     MalformedInstance,
     NotACover,
@@ -49,6 +50,12 @@ class TestX4C:
 
     def test_no_cover(self):
         assert x4c_solve(NO_COVER) is None
+
+    def test_large_cover_stays_clear_of_the_recursion_limit(self):
+        # 1,200 pairwise disjoint sets: one choice each, far past the
+        # interpreter's default recursion limit of 1,000
+        sets = tuple(frozenset(range(4 * i + 1, 4 * i + 5)) for i in range(1200))
+        assert x4c_solve(X4CInstance(1200, sets)) == list(range(1200))
 
     def test_rejects_short_family(self):
         with pytest.raises(MalformedInstance):
@@ -146,6 +153,10 @@ class TestCanonicalReduction:
         g = Graph(1)
         red = reduce_cover_to_canonical(g, Configuration((1,)))
         assert not red.trivial and red.graph is g and red.config.counts == (1,)
+
+    def test_rejects_configuration_of_other_size(self):
+        with pytest.raises(DimensionMismatch):
+            reduce_cover_to_canonical(Graph.complete(2), Configuration((0, 0, 0)))
 
     def test_roles(self):
         red = reduce_cover_to_canonical(Graph.complete(2), Configuration((0, 0)))

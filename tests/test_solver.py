@@ -16,9 +16,10 @@ from pebbling import (
     oracle_solvable,
     verify_solution,
 )
-from pebbling.solver import _deficit_first, _uncoverable, search_plan
+from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
     collapse_leaf,
+    core_weight,
     fold_to_one_vertex,
     reference_uncoverable,
     root_potential,
@@ -119,34 +120,37 @@ class TestIsCoverSolvable:
 
     def test_deficit_first_order(self):
         # C_4 with 0 and 2 short: their in-arcs by ascending root potential
-        # of the head, then by tail, the rest in plan order.  Both sit next
-        # to the surplus at 1, but 2 owes more: potential -3 against 0's 0,
-        # so it comes first although its label is larger
+        # of the head, then by tail, the rest in ascending (from, to) order.
+        # Both sit next to the surplus at 1, but 2 owes more: potential -3
+        # against 0's 0, so it comes first although its label is larger
         g = Graph.cycle(4)
-        plan = search_plan(g)
+        peel, core = _peel(g)
+        assert peel == [] and core == [0, 1, 2, 3]
+        weight = core_weight(g, core)
         val = [-1, 3, -2, 0]
-        pot = root_potential(plan, val)
+        pot = root_potential(weight, val)
         assert pot[0] == 0 and pot[2] == -3
-        order = _deficit_first(plan, val, pot)
-        assert order.edges == [
+        edges, edge_delta, into = _arcs(g, core, val, pot, weight)
+        assert edges == [
             (1, 2), (3, 2), (1, 0), (3, 0), (0, 1), (0, 3), (2, 1), (2, 3)
         ]
-        for p, arc in enumerate(order.edges):
-            assert order.edge_delta[p] is plan.edge_delta[plan.edges.index(arc)]
-        assert order.into == [[(1, 2), (3, 3)], [(0, 4), (2, 6)],
-                              [(1, 0), (3, 1)], [(0, 5), (2, 7)]]
+        for (u, w), row in zip(edges, edge_delta):
+            assert row == [weight[w][z] - 2 * weight[u][z] for z in range(4)]
+        assert into == [[(1, 2), (3, 3)], [(0, 4), (2, 6)],
+                        [(1, 0), (3, 1)], [(0, 5), (2, 7)]]
 
     def test_uncoverable_waits_for_deficits_one_layer_deeper(self):
         # centre 0 holds 7 pebbles for 2, 3, 4 owing 1, 3 and 2.  The walk
         # from 3 reads +16 after one layer, but 2 and 4 owe 3 more a layer
         # further, weighing 8 each: -8.  A pass test that stopped while that
         # deficit could still flip the sign would keep this node.  Every
-        # vertex lies on a cycle, so the plan's core positions are the labels.
+        # vertex lies on a cycle, so the core positions are the labels.
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 4), (1, 3)])
-        assert search_plan(g).core == [0, 1, 2, 3, 4]
-        plan = search_plan(g)
+        peel, core = _peel(g)
+        assert peel == [] and core == [0, 1, 2, 3, 4]
+        weight = core_weight(g, core)
         val = [7, 0, -1, -3, -2]
-        into = _deficit_first(plan, val, root_potential(plan, val)).into
+        into = _arcs(g, core, val, root_potential(weight, val), weight)[2]
         succ = [set() for _ in val]
         assert reference_uncoverable(into, val, succ, 0)
         assert _uncoverable(into, val, succ, 0, 6, 7)
@@ -235,12 +239,17 @@ class TestPendantFold:
 
     def test_plan_peels_down_to_the_core(self):
         # a triangle 0-1-2 with the path 2-3-4 and the leaf 5 on 0 hanging off
+        # the arcs join core positions; with no deficit they come in
+        # ascending (from, to) order
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5)])
-        plan = search_plan(g)
-        assert plan.peel == [(4, 3), (5, 0), (3, 2)]
-        assert plan.core == [0, 1, 2]
-        assert plan.edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        assert search_plan(Graph.star(3)).core == [0]
+        peel, core = _peel(g)
+        assert peel == [(4, 3), (5, 0), (3, 2)]
+        assert core == [0, 1, 2]
+        weight = core_weight(g, core)
+        val = [0, 0, 0]
+        edges = _arcs(g, core, val, root_potential(weight, val), weight)[0]
+        assert edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert _peel(Graph.star(3))[1] == [0]
 
     def test_certificate_lifts_onto_the_pendant_trees(self):
         # 4 owes 1, so 3 must send it one move and owes 2, so 2 must send 3

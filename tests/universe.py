@@ -92,10 +92,18 @@ def random_spread(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def root_potential(plan, val) -> list[int]:
-    """The potential numerators of balances ``val`` over ``plan``'s core:
-    per core vertex ``z``, ``sum(val[x] * plan.weight[z][x])``."""
-    return [sum(x * w for x, w in zip(val, row)) for row in plan.weight]
+def core_weight(g: Graph, core) -> list[list[int]]:
+    """``[z][x]``: ``2 ** (diameter - dist(core[x], core[z]))`` over the
+    core positions, the diameter taken among the core vertices."""
+    dist = [[g.distance(x, z) for x in core] for z in core]
+    diam = max(map(max, dist))
+    return [[1 << (diam - k) for k in row] for row in dist]
+
+
+def root_potential(weight, val) -> list[int]:
+    """The potential numerators of balances ``val`` over the core: per core
+    position ``z``, ``sum(val[x] * weight[z][x])``."""
+    return [sum(x * w for x, w in zip(val, row)) for row in weight]
 
 
 def reference_uncoverable(into, val, succ, p) -> bool:
