@@ -5,11 +5,13 @@ Samples connected graphs with random configurations and demands, then checks
 that the move-list solver and the breadth-first oracle return the same
 verdict, that every certificate verifies with an acyclic support, that a
 negative potential is only ever reported for oracle-unsolvable instances,
-and that every tree folds to one vertex, so the solver decides it with no
-search.  Every graph has three or more vertices.  One case in eight is a
-bare random spanning tree; every other graph gets at least one chord over
-it, so it carries a cycle and keeps a 2-core for the search to run on.  The
-summary counts the trees and the cases that reached the search.
+that the solver names the first vertex of negative potential as its
+witness exactly when there is one, and that every tree folds to one
+vertex, so the solver decides it with no search.  Every graph has three or
+more vertices.  One case in eight is a bare random spanning tree; every
+other graph gets at least one chord over it, so it carries a cycle and
+keeps a 2-core for the search to run on.  The summary counts the trees and
+the cases that reached the search.
 
 Example:
     python scripts/agreement_sweep.py --cases 20000 --max-vertices 6 --seed 7
@@ -82,7 +84,11 @@ def main() -> int:
                 return 1
         else:
             stats["unsolvable"] += 1
-        if gamma_witness(g, c, d) is not None:
+        witness = gamma_witness(g, c, d)
+        if result.witness != witness:
+            print(f"WITNESS MISMATCH at case {case}: {result.witness} != {witness}")
+            return 1
+        if witness is not None:
             stats["witnessed"] += 1
             if reference:
                 print(f"UNSOUND POTENTIAL at case {case}")

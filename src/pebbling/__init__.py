@@ -15,7 +15,6 @@ from .core import (
     Graph,
     MoveList,
     PebblingError,
-    PotentialValue,
     apply_moves,
     gamma,
     gamma_witness,
@@ -67,7 +66,6 @@ __all__ = [
     "NotASolution",
     "NumberResult",
     "PebblingError",
-    "PotentialValue",
     "ReducedInstance",
     "SolveResult",
     "X4CInstance",

@@ -35,9 +35,9 @@ from .core import (
     gamma,
 )
 from .formats import (
-    FormatError,
     Instance,
     certificate_to_movelist,
+    demand_of_kind,
     parse_certificate,
     parse_instance,
     parse_x4c,
@@ -52,6 +52,7 @@ from .reductions import (
     reduce_to_number_threshold,
 )
 from .solver import (
+    DEFAULT_NODE_CAP,
     DEFAULT_STATE_CAP,
     is_canonical_solvable,
     is_cover_solvable,
@@ -82,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--node-cap",
         type=_node_cap,
-        default=10**7,
+        default=DEFAULT_NODE_CAP,
         metavar="N",
-        help="search node cap (default 10^7)",
+        help="search node cap (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(
@@ -122,7 +123,7 @@ def _read(path: str) -> str:
 
 def _load_instance(args: argparse.Namespace) -> Instance:
     if not args.instance:
-        raise FormatError(1, "--instance FILE is required for this command")
+        raise PebblingError("--instance FILE is required for this command")
     return parse_instance(_read(args.instance))
 
 
@@ -187,14 +188,6 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     return EXIT_OK if result.canonical else EXIT_NEGATIVE
 
 
-def _resolve_demand_kind(instance: Instance, kind: str) -> Demand:
-    if kind == "unit":
-        return Demand.unit(instance.graph.n)
-    if kind.startswith("reach:"):
-        return Demand.reach(instance.graph.n, instance.index_of(kind.split(":", 1)[1]))
-    raise FormatError(1, f"demand kind must be unit or reach:<name>, got {kind!r}")
-
-
 def _cmd_number(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     if args.command == "pi":
@@ -202,7 +195,7 @@ def _cmd_number(args: argparse.Namespace) -> int:
     else:
         d = instance.demand
         if args.demand_kind:
-            d = _resolve_demand_kind(instance, args.demand_kind)
+            d = demand_of_kind(args.demand_kind, instance.names)
         result = cover_pebbling_number(instance.graph, d)
     report = {
         "command": args.command,
@@ -264,16 +257,15 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     target = instance.index_of(args.target)
     value = gamma(instance.graph, instance.config, instance.demand, target)
-    frac = value.as_fraction()
     report = {
         "command": "gamma",
-        "status": str(frac),
+        "status": str(value),
         "vertex": args.target,
         "numerator": value.numerator,
-        "log2_denominator": value.log2_denominator,
-        "negative": value.is_negative,
+        "log2_denominator": value.denominator.bit_length() - 1,
+        "negative": value < 0,
     }
-    _emit(args, report, f"{frac}\n")
+    _emit(args, report, f"{value}\n")
     return EXIT_OK
 
 
@@ -291,7 +283,7 @@ def reduced_to_instance(red: ReducedInstance) -> Instance:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.kind in ("x4c-cover", "x4c-number"):
         if not args.x4c:
-            raise FormatError(1, "--x4c FILE is required for this reduction")
+            raise PebblingError("--x4c FILE is required for this reduction")
         inst = parse_x4c(_read(args.x4c))
         red = (
             reduce_to_cover_solvability(inst)

@@ -18,10 +18,14 @@ The potential of a vertex ``v``,
     sum over u of (c(u) - d(u)) * 2 ** -dist(u, v),
 
 never increases under a pebbling move, so a negative potential anywhere
-certifies that no sequence of moves can meet the demand.  Potentials are
-kept as exact dyadic rationals (integer numerator over a power of two);
-floating point is never used because the hardness constructions distinguish
-values that differ by less than machine epsilon.
+certifies that no sequence of moves can meet the demand.  One kernel,
+:func:`potentials`, computes it: integer numerators over ``2**diam`` for
+the rows of a distance table whose entries are at most ``diam``.
+:func:`gamma` turns one numerator into a :class:`fractions.Fraction`,
+:func:`gamma_witness` names the first negative one, and the solver runs the
+same kernel on its folded core.  Floating point is never used because the
+hardness constructions distinguish values that differ by less than machine
+epsilon.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class PebblingError(Exception):
@@ -105,9 +108,6 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         return self._dist[u][v]
-
-    def eccentricity(self, v: int) -> int:
-        return max(self._dist[v])
 
     @property
     def is_tree(self) -> bool:
@@ -311,60 +311,6 @@ class MoveList:
         return f"MoveList({list(self.moves)})"
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class PotentialValue:
-    """Exact dyadic rational ``numerator / 2**log2_denominator``.
-
-    The representation is not normalized: :func:`gamma` keeps the
-    denominator pinned to ``2**eccentricity`` so numerators stay integers.
-    Comparisons and hashing use the value, not the representation.
-    """
-
-    numerator: int
-    log2_denominator: int
-
-    def __post_init__(self) -> None:
-        if self.log2_denominator < 0:
-            raise ValueError("denominator exponent must be non-negative")
-
-    @property
-    def sign(self) -> int:
-        return (self.numerator > 0) - (self.numerator < 0)
-
-    @property
-    def is_negative(self) -> bool:
-        return self.numerator < 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.log2_denominator)
-
-    def _pair(self, other: "PotentialValue | int") -> tuple[int, int]:
-        """Cross-multiplied (self, other) numerators over a common power of 2."""
-        if isinstance(other, PotentialValue):
-            return (
-                self.numerator << other.log2_denominator,
-                other.numerator << self.log2_denominator,
-            )
-        return self.numerator, other << self.log2_denominator
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (PotentialValue, int)):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a == b
-
-    def __lt__(self, other: "PotentialValue | int") -> bool:
-        a, b = self._pair(other)
-        return a < b
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __repr__(self) -> str:
-        return f"PotentialValue({self.numerator}, 2**-{self.log2_denominator})"
-
-
 # -- operations -------------------------------------------------------------
 
 
@@ -430,33 +376,34 @@ def legal_moves(g: Graph, c: Configuration) -> list[tuple[int, int]]:
     return result
 
 
-def gamma(g: Graph, c: Configuration, d: Demand, v: int) -> PotentialValue:
-    """Exact potential of ``v``: sum of (c-d)(u) * 2**-dist(u, v).
+def potentials(base: Sequence[int], dist: Iterable[Sequence[int]], diam: int) -> list[int]:
+    """Potential numerators over ``2**diam``, one per row of ``dist``.
 
-    Represented over denominator ``2**eccentricity(v)`` so the numerator is
-    an integer.
+    Row ``z`` holds the distances to ``z``, each at most ``diam``; its entry
+    is ``sum(base[x] << (diam - dist[z][x]))``, the potential of ``z`` under
+    the balances ``base`` (pebbles minus demand) times ``2**diam``.
     """
+    return [sum([x << (diam - k) for x, k in zip(base, row)]) for row in dist]
+
+
+def _balances(g: Graph, c: Configuration, d: Demand) -> list[int]:
     _check_dims(g, c, d)
+    return [a - b for a, b in zip(c.counts, d.counts)]
+
+
+def gamma(g: Graph, c: Configuration, d: Demand, v: int) -> Fraction:
+    """Exact potential of ``v``: sum of (c-d)(u) * 2**-dist(u, v)."""
+    base = _balances(g, c, d)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    ecc = g.eccentricity(v)
-    num = 0
-    for u in range(g.n):
-        num += (c.counts[u] - d.counts[u]) << (ecc - g.distance(u, v))
-    return PotentialValue(num, ecc)
+    (num,) = potentials(base, [g._dist[v]], g.diameter)
+    return Fraction(num, 1 << g.diameter)
 
 
 def gamma_witness(g: Graph, c: Configuration, d: Demand) -> int | None:
     """Lowest-index vertex with negative potential, or None.
 
-    A hit proves the pair (c, d) unsolvable; no hit proves nothing.  Each
-    potential is summed as an integer numerator over ``2**diameter``, which
-    has the sign of :func:`gamma`'s value over ``2**eccentricity``.
+    A hit proves the pair (c, d) unsolvable; no hit proves nothing.
     """
-    _check_dims(g, c, d)
-    diam = g.diameter
-    base = [a - b for a, b in zip(c.counts, d.counts)]
-    for v, row in enumerate(g._dist):
-        if sum([x << (diam - k) for x, k in zip(base, row)]) < 0:
-            return v
-    return None
+    pot = potentials(_balances(g, c, d), g._dist, g.diameter)
+    return next((v for v, x in enumerate(pot) if x < 0), None)

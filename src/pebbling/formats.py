@@ -23,6 +23,7 @@ four elements each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Configuration, Demand, Graph, MoveList, PebblingError
 from .reductions import X4CInstance
@@ -77,7 +78,7 @@ def parse_instance(text: str) -> Instance:
     config: dict[int, int] = {}
     demand: dict[int, int] = {}
     demand_kind: str | None = None
-    first_line = 1
+    first_line = kind_line = 1
 
     def need_vertex(lineno: int, name: str) -> int:
         if names is None:
@@ -111,7 +112,10 @@ def parse_instance(text: str) -> Instance:
             v = need_vertex(lineno, rest[0])
             if v in config:
                 raise FormatError(lineno, f"duplicate config entry for {rest[0]!r}")
-            config[v] = _int_field(lineno, rest[1], "pebble count")
+            count = _int_field(lineno, rest[1], "pebble count")
+            if count < 0:
+                raise FormatError(lineno, "pebble counts are non-negative")
+            config[v] = count
         elif key == "demand":
             if demand_kind is not None:
                 raise FormatError(lineno, "demand lines conflict with demand_kind")
@@ -132,11 +136,7 @@ def parse_instance(text: str) -> Instance:
             if len(rest) != 1:
                 raise FormatError(lineno, "demand_kind line needs one value")
             demand_kind = rest[0]
-            if demand_kind != "unit":
-                if not demand_kind.startswith("reach:"):
-                    raise FormatError(
-                        lineno, f"demand_kind must be unit or reach:<name>, got {demand_kind!r}"
-                    )
+            kind_line = lineno
         else:
             raise FormatError(lineno, f"unknown field {key!r}")
 
@@ -148,18 +148,30 @@ def parse_instance(text: str) -> Instance:
     except ValueError as exc:
         raise FormatError(first_line, str(exc))
     counts = tuple(config.get(i, 0) for i in range(n))
-    if any(x < 0 for x in counts):
-        raise FormatError(first_line, "pebble counts are non-negative")
-    if demand_kind == "unit":
-        dem = Demand.unit(n)
-    elif demand_kind is not None:
-        target = demand_kind.split(":", 1)[1]
-        if target not in index:
-            raise FormatError(first_line, f"reach target {target!r} is not a vertex")
-        dem = Demand.reach(n, index[target])
-    else:
+    if demand_kind is None:
         dem = Demand(tuple(demand.get(i, 0) for i in range(n)))
+    else:
+        try:
+            dem = demand_of_kind(demand_kind, names)
+        except ValueError as exc:
+            raise FormatError(kind_line, str(exc))
     return Instance(tuple(names), graph, Configuration(counts), dem, demand_kind)
+
+
+def demand_of_kind(kind: str, names: Sequence[str]) -> Demand:
+    """The demand a ``demand_kind`` value names over the vertices ``names``.
+
+    ``unit`` demands one pebble everywhere and ``reach:<name>`` one pebble
+    on the named vertex; anything else raises ValueError.
+    """
+    if kind == "unit":
+        return Demand.unit(len(names))
+    if not kind.startswith("reach:"):
+        raise ValueError(f"demand kind must be unit or reach:<name>, got {kind!r}")
+    target = kind[len("reach:"):]
+    if target not in names:
+        raise ValueError(f"reach target {target!r} is not a vertex")
+    return Demand.reach(len(names), names.index(target))
 
 
 def write_instance(instance: Instance) -> str:

@@ -49,6 +49,21 @@ way only, so the lifted support stays cycle-free.  Distances between core
 vertices are the graph's own, since a shortest path never enters a
 pendant tree.
 
+The root check runs once, on the folded core: the potential of each core
+vertex, from the one kernel :func:`pebbling.core.potentials` over the
+core's own diameter, and the pebble budget.  Only when it rejects is
+:func:`pebbling.core.gamma_witness` asked for the original graph's first
+negative potential, and that costs nothing in exactness, because folding
+never raises the potential at a vertex that stays.  A leaf with balance
+``b`` off ``a`` adds ``b * 2**-(dist(a, y) + 1)`` at ``y``; folded, it
+adds ``(b // 2) * 2**-dist(a, y)`` or ``2b * 2**-dist(a, y)``, no more
+either way.  And if the leaf's own potential ``b + Q / 2`` is negative,
+``Q`` the potential at ``a`` of every other vertex, then ``Q < -2b``, so
+``a`` is left negative: ``Q + b // 2 < -1.5b <= 0`` when ``b >= 0``, ``Q +
+2b < 0`` when not.  By induction over the peel, a negative potential
+anywhere leaves one on the folded core, so every witness is found by a
+check that rejects.
+
 The decision problem is NP-complete, so every search takes a node cap and
 raises :class:`BudgetExceeded` rather than ever guessing; "gave up" is
 never reported as "unsolvable".
@@ -66,8 +81,10 @@ from .core import (
     Graph,
     MoveList,
     PebblingError,
+    _balances,
     _check_dims,
     gamma_witness,
+    potentials,
     verify_solution,
 )
 
@@ -84,8 +101,9 @@ class SolveResult:
     """Outcome of an exact solvability query.
 
     ``certificate`` is present iff solvable and always verifies with an
-    acyclic support; ``witness`` is set only when unsolvability was already
-    decided by a negative potential at the root.
+    acyclic support; ``witness`` is the lowest-index vertex of negative
+    potential, set only when the root check decided unsolvability and some
+    potential is negative.
     """
 
     solvable: bool
@@ -196,13 +214,9 @@ def is_cover_solvable(
     byproduct of the schedule rather than a promise); each pendant leaf
     passes on only the surplus that its neighbour cannot spare.
     """
-    _check_dims(g, c, d)
-    base = [a - b for a, b in zip(c.counts, d.counts)]
+    base = _balances(g, c, d)
     if all(x >= 0 for x in base):
         return SolveResult(True, MoveList(), None, 0, 0)
-    witness = gamma_witness(g, c, d)
-    if witness is not None:
-        return SolveResult(False, None, witness, 0, 0)
 
     peel, core = _peel(g)
     bal = base[:]  # fold each pendant tree into its attachment vertex
@@ -214,16 +228,16 @@ def is_cover_solvable(
     max_depth = 0
     moves: list[tuple[int, int, int]] = []
     if min(val) < 0:
-        # the root checks on the folded core, with no witness to name: a
-        # negative potential, or too few pebbles, as each move nets -1
+        # the root checks on the folded core: a negative potential, or too
+        # few pebbles, as each move nets -1.  A rejection names the original
+        # graph's first negative potential, if any (see the module docstring)
         dist = [[g._dist[z][x] for x in core] for z in core]
         diam = max(map(max, dist))
-        weight = [[1 << (diam - k) for k in row] for row in dist]
-        pot = [sum([x * w for x, w in zip(val, row)]) for row in weight]
+        pot = potentials(val, dist, diam)
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
-            return SolveResult(False, None, None, 0, 0)
-        edges, edge_delta, into = _arcs(g, core, val, pot, weight)
+            return SolveResult(False, None, gamma_witness(g, c, d), 0, 0)
+        edges, edge_delta, into = _arcs(g, core, val, pot, dist, diam)
         # Deepen the move budget geometrically up to the pebble-loss bound;
         # the final level alone is exhaustive, so unsolvability costs one
         # bounded pass while solvable instances exit at a level near their
@@ -264,7 +278,8 @@ def is_cover_solvable(
 
 
 def _arcs(
-    g: Graph, core: list[int], val: list[int], pot: list[int], weight: list[list[int]]
+    g: Graph, core: list[int], val: list[int], pot: list[int],
+    dist: list[list[int]], diam: int,
 ) -> tuple[list[tuple[int, int]], list[list[int]], list[list[tuple[int, int]]]]:
     """The core's arcs in this call's branching order, with their tables.
 
@@ -272,16 +287,20 @@ def _arcs(
     come first, grouped by head in ascending ``(pot[head], head)`` and by
     tail within a head, so the q_min rule forces the deficit with the least
     root potential margin first (fail-first); the rest follow in ascending
-    (from, to) order.  ``edge_delta[p][z]`` is the potential change at
-    ``z`` of one move on ``edges[p]``, and ``into[a]`` holds ``(u, p)`` per
-    arc ``edges[p] = (u, a)``, by ``p``.
+    (from, to) order.  ``edge_delta[p][z]`` is the change of ``z``'s
+    potential numerator over ``2**diam`` by one move on ``edges[p]``, read
+    off the core's distance rows ``dist``, and ``into[a]`` holds ``(u, p)``
+    per arc ``edges[p] = (u, a)``, by ``p``.
     """
     pos = {v: i for i, v in enumerate(core)}
     nbrs = [[pos[x] for x in g._adj[v] if x in pos] for v in core]
     heads = sorted((pot[a], a) for a, x in enumerate(val) if x < 0)
     edges = [(u, a) for _, a in heads for u in nbrs[a]]
     edges += [(u, w) for u, out in enumerate(nbrs) for w in out if val[w] >= 0]
-    edge_delta = [[tw - 2 * tu for tw, tu in zip(weight[w], weight[u])] for u, w in edges]
+    edge_delta = [
+        [(1 << (diam - dw)) - (2 << (diam - du)) for dw, du in zip(dist[w], dist[u])]
+        for u, w in edges
+    ]
     into: list[list[tuple[int, int]]] = [[] for _ in core]
     for p, (u, w) in enumerate(edges):
         into[w].append((u, p))
@@ -434,10 +453,9 @@ def _search(
             if backtrack:
                 if not stack:
                     return None, nodes, max_depth
-                p, r, u, w, vu, vw, q, q_min, delta, old_def, added = stack.pop()
+                p, r, u, w, vu, vw, q, q_min, delta, old_def = stack.pop()
                 if q:
-                    if added:
-                        succ[u].discard(w)
+                    succ[u].discard(w)
                     val[u] = vu
                     val[w] = vw
                     def_sum = old_def
@@ -453,7 +471,7 @@ def _search(
             if nodes > node_cap:
                 raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
             if q == 0:
-                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum, False))
+                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum))
                 p += 1
                 break
             nvu = vu - 2 * q
@@ -487,10 +505,8 @@ def _search(
                 continue
             val[u] = nvu
             val[w] = nvw
-            added = w not in succ[u]
-            if added:
-                succ[u].add(w)
-            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum, added))
+            succ[u].add(w)  # each arc has one position, so it is new here
+            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum))
             def_sum = ndef
             p += 1
             r -= q

@@ -77,6 +77,7 @@ def test_criterion_1_solver_matches_oracle_exhaustively():
     for g, c, d in small_universe(max_n=4, max_pebbles=5):
         result = is_cover_solvable(g, c, d)
         assert result.solvable == oracle_solvable(g, c, d), (g, c, d)
+        assert result.witness == gamma_witness(g, c, d), (g, c, d)
         if result.solvable:
             assert verify_solution(g, c, d, result.certificate), (g, c, d)
             assert _support_acyclic(result.certificate), (g, c, d)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebbling import Demand, Graph, cover_pebbling_number, pebbling_number
-from pebbling.cli import main
+from pebbling.cli import _build_parser, main
 from pebbling.formats import parse_instance, write_instance
+from pebbling.solver import DEFAULT_NODE_CAP
 
 P3 = """\
 vertices v1 v2 v3
@@ -172,6 +173,13 @@ class TestOracleVerifyGamma:
         doc = json.loads(capsys.readouterr().out)
         assert doc["numerator"] == -1 and doc["log2_denominator"] == 2
 
+    def test_gamma_json_lowest_terms(self, p3_file, capsys):
+        # 7 pebbles on v1 leave v3 exactly balanced: 0, over 2**0
+        main(["gamma", "--instance", p3_file, "--target", "v3", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["numerator"] == 0 and doc["log2_denominator"] == 0
+        assert doc["status"] == "0" and doc["negative"] is False
+
 
 class TestReduce:
     def test_x4c_cover_round_trip(self, tmp_path, capsys):
@@ -213,6 +221,32 @@ class TestReduce:
 class TestUsageErrors:
     def test_missing_instance(self):
         assert main(["solve"]) == 2
+
+    def test_missing_instance_names_no_line(self, capsys):
+        assert main(["solve"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --instance FILE is required for this command\n"
+        )
+
+    def test_missing_x4c_names_no_line(self, capsys):
+        assert main(["reduce", "x4c-cover"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --x4c FILE is required for this reduction\n"
+        )
+
+    def test_bad_demand_kind_names_no_line(self, p3_file, capsys):
+        # the flag is read by the parser of the demand_kind field, with no
+        # file line to name
+        assert main(["number", "--instance", p3_file, "--demand-kind", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: demand kind must be unit or reach:<name>, got 'bogus'\n"
+        )
+        assert main(["number", "--instance", p3_file, "--demand-kind", "reach:zz"]) == 2
+        assert capsys.readouterr().err == "error: reach target 'zz' is not a vertex\n"
+
+    def test_node_cap_default_is_the_solver_default(self):
+        args = _build_parser().parse_args(["solve", "--instance", "f"])
+        assert args.node_cap == DEFAULT_NODE_CAP
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from pebbling import (
@@ -7,7 +9,6 @@ from pebbling import (
     EdgeViolation,
     Graph,
     MoveList,
-    PotentialValue,
     apply_moves,
     gamma,
     gamma_witness,
@@ -41,7 +42,6 @@ class TestGraph:
     def test_path_metrics(self):
         p4 = Graph.path(4)
         assert p4.distance(0, 3) == 3
-        assert p4.eccentricity(1) == 2
         assert p4.diameter == 3
         assert p4.is_tree
 
@@ -144,8 +144,7 @@ class TestLegalMoves:
 class TestGamma:
     def test_k2_representation(self):
         value = gamma(K2, Configuration((1, 0)), Demand.unit(2), 1)
-        assert value.numerator == -2 and value.log2_denominator == 1
-        assert value == -1
+        assert isinstance(value, Fraction) and value == Fraction(-1)
 
     def test_single_vertex_balanced(self):
         assert gamma(Graph(1), Configuration((3,)), Demand((3,)), 0) == 0
@@ -154,9 +153,9 @@ class TestGamma:
         assert gamma(P3, Configuration((3, 0, 0)), Demand.unit(3), 2) == -1
 
     def test_denominator_is_eccentricity(self):
+        # vertex 2's eccentricity is 2, and -1/4 is in lowest terms
         value = gamma(P3, Configuration((6, 0, 0)), Demand.unit(3), 2)
-        assert value.log2_denominator == P3.eccentricity(2) == 2
-        assert value == PotentialValue(-1, 2)
+        assert value == Fraction(-1, 4) and value.denominator == 1 << P3.distance(0, 2)
 
 
 class TestGammaWitness:
@@ -169,23 +168,3 @@ class TestGammaWitness:
 
     def test_p3_far_end(self):
         assert gamma_witness(P3, Configuration((6, 0, 0)), Demand.unit(3)) == 2
-
-
-class TestPotentialValue:
-    def test_value_equality_across_representations(self):
-        assert PotentialValue(-2, 1) == PotentialValue(-1, 0)
-        assert PotentialValue(6, 1) == 3
-
-    def test_ordering(self):
-        assert PotentialValue(-1, 2) < 0 < PotentialValue(1, 3)
-        assert PotentialValue(5, 3) < PotentialValue(3, 2)
-
-    def test_sign(self):
-        assert PotentialValue(-7, 4).sign == -1
-        assert PotentialValue(0, 2).sign == 0
-        assert PotentialValue(7, 0).sign == 1
-
-    def test_fraction(self):
-        from fractions import Fraction
-
-        assert PotentialValue(-1, 2).as_fraction() == Fraction(-1, 4)

@@ -68,6 +68,22 @@ class TestInstanceParsing:
             parse_instance(P3_TEXT.replace("config v1 7", "config v1 seven"))
         assert err.value.line == 4
 
+    def test_negative_config_names_its_line(self):
+        with pytest.raises(FormatError) as err:
+            parse_instance(P3_TEXT.replace("demand_kind unit", "config v2 -1"))
+        assert err.value.line == 5
+
+    def test_unknown_reach_target_names_demand_kind_line(self):
+        text = P3_TEXT.replace("demand_kind unit", "config v2 1\ndemand_kind reach:zz")
+        with pytest.raises(FormatError) as err:
+            parse_instance(text)
+        assert err.value.line == 6
+
+    def test_bad_demand_kind_names_its_line(self):
+        with pytest.raises(FormatError) as err:
+            parse_instance(P3_TEXT.replace("demand_kind unit", "demand_kind bogus"))
+        assert err.value.line == 5
+
 
 class TestInstanceWriting:
     def test_round_trip_identical(self):

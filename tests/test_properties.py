@@ -25,7 +25,13 @@ from pebbling import (
 )
 from pebbling import solver
 from pebbling.solver import _arcs, _peel, _uncoverable
-from universe import core_weight, reference_threshold, reference_uncoverable, root_potential
+from universe import (
+    core_dist,
+    core_weight,
+    reference_threshold,
+    reference_uncoverable,
+    root_potential,
+)
 
 
 @st.composite
@@ -327,11 +333,11 @@ def test_uncoverable_matches_the_full_walk(g, rng):
     # half the graphs drawn fold to one vertex, hence 200 graphs.
     _, core = _peel(g)
     m = len(core)
-    weight = core_weight(g, core)
+    weight, dist = core_weight(g, core), core_dist(g, core)
     for _ in range(200):
         spread = rng.choice((2, 4, 8))
         base = [rng.randint(-spread, spread) for _ in range(m)]
-        edges, _, into = _arcs(g, core, base, root_potential(weight, base), weight)
+        edges, _, into = _arcs(g, core, base, root_potential(weight, base), *dist)
         val = [rng.randint(-spread, spread) for _ in range(m)]
         p = rng.randint(0, len(edges))
         succ = [set() for _ in range(m)]

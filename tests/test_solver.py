@@ -19,6 +19,7 @@ from pebbling import (
 from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
     collapse_leaf,
+    core_dist,
     core_weight,
     fold_to_one_vertex,
     reference_uncoverable,
@@ -130,7 +131,7 @@ class TestIsCoverSolvable:
         val = [-1, 3, -2, 0]
         pot = root_potential(weight, val)
         assert pot[0] == 0 and pot[2] == -3
-        edges, edge_delta, into = _arcs(g, core, val, pot, weight)
+        edges, edge_delta, into = _arcs(g, core, val, pot, *core_dist(g, core))
         assert edges == [
             (1, 2), (3, 2), (1, 0), (3, 0), (0, 1), (0, 3), (2, 1), (2, 3)
         ]
@@ -150,7 +151,7 @@ class TestIsCoverSolvable:
         assert peel == [] and core == [0, 1, 2, 3, 4]
         weight = core_weight(g, core)
         val = [7, 0, -1, -3, -2]
-        into = _arcs(g, core, val, root_potential(weight, val), weight)[2]
+        into = _arcs(g, core, val, root_potential(weight, val), *core_dist(g, core))[2]
         succ = [set() for _ in val]
         assert reference_uncoverable(into, val, succ, 0)
         assert _uncoverable(into, val, succ, 0, 6, 7)
@@ -247,7 +248,7 @@ class TestPendantFold:
         assert core == [0, 1, 2]
         weight = core_weight(g, core)
         val = [0, 0, 0]
-        edges = _arcs(g, core, val, root_potential(weight, val), weight)[0]
+        edges = _arcs(g, core, val, root_potential(weight, val), *core_dist(g, core))[0]
         assert edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert _peel(Graph.star(3))[1] == [0]
 

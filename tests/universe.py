@@ -92,11 +92,17 @@ def random_spread(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def core_dist(g: Graph, core) -> tuple[list[list[int]], int]:
+    """``[z][x]``: ``dist(core[x], core[z])`` over the core positions, and
+    the diameter taken among the core vertices."""
+    dist = [[g.distance(x, z) for x in core] for z in core]
+    return dist, max(map(max, dist))
+
+
 def core_weight(g: Graph, core) -> list[list[int]]:
     """``[z][x]``: ``2 ** (diameter - dist(core[x], core[z]))`` over the
     core positions, the diameter taken among the core vertices."""
-    dist = [[g.distance(x, z) for x in core] for z in core]
-    diam = max(map(max, dist))
+    dist, diam = core_dist(g, core)
     return [[1 << (diam - k) for k in row] for row in dist]
 
 
