@@ -18,7 +18,6 @@ from .core import (
     apply_moves,
     gamma,
     gamma_witness,
-    legal_moves,
     verify_solution,
 )
 from .numbers import (
@@ -78,7 +77,6 @@ __all__ = [
     "is_canonical_solvable",
     "is_cover_solvable",
     "is_reachable",
-    "legal_moves",
     "normalize_acyclic",
     "number_witness_config",
     "oracle_solvable",

@@ -103,20 +103,12 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def distance(self, u: int, v: int) -> int:
         return self._dist[u][v]
 
     @property
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
-
-    def directed_edges(self) -> tuple[tuple[int, int], ...]:
-        """Both orientations of every edge, ascending by (from, to)."""
-        both = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
-        return tuple(sorted(both))
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph on ``keep``, plus the old-index -> new-index map.
@@ -201,11 +193,6 @@ class Configuration:
     def has_negative(self) -> bool:
         return any(x < 0 for x in self.counts)
 
-    def contains(self, other: "Configuration | Demand") -> bool:
-        if len(other.counts) != len(self.counts):
-            raise DimensionMismatch("configurations cover different vertex sets")
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -250,10 +237,6 @@ class Demand:
             raise ValueError(f"vertex {v} out of range")
         return cls(tuple(1 if i == v else 0 for i in range(n)))
 
-    @classmethod
-    def zero(cls, n: int) -> "Demand":
-        return cls((0,) * n)
-
 
 class MoveList:
     """Non-negative move counts per ordered vertex pair.
@@ -263,7 +246,7 @@ class MoveList:
     a particular graph is checked by the operations that take a graph.
     """
 
-    __slots__ = ("moves", "_map")
+    __slots__ = ("moves",)
 
     def __init__(
         self,
@@ -280,20 +263,12 @@ class MoveList:
                 raise ValueError(f"negative move count on ({u}, {w})")
             if q:
                 merged[u, w] = merged.get((u, w), 0) + q
-        object.__setattr__(self, "_map", merged)
         object.__setattr__(
             self, "moves", tuple(sorted((u, w, q) for (u, w), q in merged.items()))
         )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MoveList is immutable")
-
-    def count(self, u: int, w: int) -> int:
-        return self._map.get((u, w), 0)
-
-    @property
-    def total_moves(self) -> int:
-        return sum(q for _, _, q in self.moves)
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.moves)
@@ -359,21 +334,6 @@ def apply_moves(g: Graph, c: Configuration, ml: MoveList) -> Configuration:
     return Configuration(
         tuple(final), extended=c.extended or any(x < 0 for x in final)
     )
-
-
-def legal_moves(g: Graph, c: Configuration) -> list[tuple[int, int]]:
-    """Ordered adjacent pairs (u, w) with at least two pebbles on u.
-
-    Deterministic: ascending by (u, w).
-    """
-    _check_dims(g, c)
-    if c.has_negative:
-        raise ValueError("legal_moves needs a non-negative configuration")
-    result = []
-    for u in range(g.n):
-        if c.counts[u] >= 2:
-            result.extend((u, w) for w in g.neighbors(u))
-    return result
 
 
 def potentials(base: Sequence[int], dist: Iterable[Sequence[int]], diam: int) -> list[int]:

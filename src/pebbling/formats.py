@@ -81,14 +81,14 @@ def parse_instance(text: str) -> Instance:
     first_line = kind_line = 1
 
     def need_vertex(lineno: int, name: str) -> int:
-        if names is None:
-            raise FormatError(lineno, "vertices line must come first")
         if name not in index:
             raise FormatError(lineno, f"undeclared vertex {name!r}")
         return index[name]
 
     for lineno, tokens in _tokenized_lines(text):
         key, rest = tokens[0], tokens[1:]
+        if names is None and key != "vertices":
+            raise FormatError(lineno, "vertices line must come first")
         if key == "vertices":
             if names is not None:
                 raise FormatError(lineno, "duplicate vertices line")

@@ -31,6 +31,21 @@ previous size is complete, so c fails exactly when it does not hold d and
 every successor is in that set.  This is the breadth-first oracle's
 recurrence, taken one size at a time.
 
+The sweep packs each configuration into one Python int: vertex ``i``'s
+count is the ``w``-bit field at bit ``w * i``, with ``w =
+max(config_cap, largest demand count).bit_length() + 2``.  A size-k
+configuration is built only after the cap has been charged at least ``n``
+per size 1 .. k, so every count is at most ``k <= config_cap / n`` and
+every field stays below its top bit, the guard.  Adding a pebble to ``i``
+adds ``1 << (w * i)``, and a move from ``u`` to ``v`` adds ``one[v] - 2 *
+one[u]``.  With every guard bit set, subtracting a packed vector borrows
+within each field and never across one, and the guard of field ``i``
+survives exactly when the count there is at least the subtrahend's: that
+tests ``c >= d``, counts the non-zero fields and finds those holding two
+pebbles or more.  The last vertex is the most significant field, so
+packed ints compare as their reversed count tuples: integer order is colex
+order, and the colex-least witness is the least int.
+
 :func:`stacking_lower_bound` is a proven lower bound on the cover pebbling
 number, not a starting point: a sweep from it would have no failing set of
 the size below its first size to decide that size by.
@@ -99,18 +114,28 @@ def _threshold(
     """Least k such that every size-k configuration solves every demand.
 
     Keeps, per demand, the configurations of the previous size that fail
-    it.  A size-k configuration is a candidate for a demand only when every
-    one-pebble removal of it is in that failing set: its extensions are
-    counted, and a count equal to its number of non-zero slots means no
-    solvable configuration lies below it.  :func:`_fails` decides each
-    candidate from the same failing set.  ``configs_checked`` counts all
-    configurations of sizes 1 .. k; ``config_cap`` bounds the ones built,
-    ``n`` extensions per failing configuration, charged before they are.
-    ``unit_bound`` is a proven ceiling on the value; passing it means a
-    bug in the sweep, not a larger answer.
+    it, packed as in the module docstring.  A size-k configuration is a
+    candidate for a demand only when every one-pebble removal of it is in
+    that failing set: its extensions are counted, and a count equal to its
+    number of non-zero fields means no solvable configuration lies below
+    it.  :func:`_fails` decides each candidate from the same failing set.
+    ``configs_checked`` counts all configurations of sizes 1 .. k;
+    ``config_cap`` bounds the ones built, ``n`` extensions per failing
+    configuration, charged before they are.  ``unit_bound`` is a proven
+    ceiling on the value; passing it means a bug in the sweep, not a larger
+    answer.
     """
     n = g.n
-    failing: list[set[tuple[int, ...]]] = [{(0,) * n} for _ in demands]
+    w = max(config_cap, *(max(d.counts) for d in demands)).bit_length() + 2
+    one = [1 << (w * i) for i in range(n)]
+    ones = sum(one)
+    guard = ones << (w - 1)
+    twos = 2 * ones
+    moves = [
+        (b << (w - 1), [one[v] - 2 * b for v in g.neighbors(u)]) for u, b in enumerate(one)
+    ]
+    wants = [sum(x * b for x, b in zip(d.counts, one)) for d in demands]
+    failing: list[set[int]] = [{0} for _ in demands]
     checked = built = 0
     k = 1
     while True:
@@ -119,44 +144,46 @@ def _threshold(
                 f"sweep passed the proven upper bound {unit_bound}; bug in the sweep"
             )
         checked += comb(k + n - 1, n - 1)
-        grown: list[set[tuple[int, ...]]] = []
-        for d, fail in zip(demands, failing):
+        grown: list[set[int]] = []
+        for want, fail in zip(wants, failing):
             built += n * len(fail)
             if built > config_cap:
                 raise BudgetExceeded(f"sweep builds more than {config_cap} configurations")
-            below = Counter(f[:i] + (f[i] + 1,) + f[i + 1:] for f in fail for i in range(n))
+            below = Counter(f + b for f in fail for b in one)
             grown.append({
                 c
                 for c, hits in below.items()
-                if hits == n - c.count(0) and _fails(g, c, d.counts, fail)
+                if hits == (((c | guard) - ones) & guard).bit_count()
+                and _fails(c, want, fail, moves, guard, twos)
             })
         if not any(grown):
-            witness = min(set().union(*failing), key=lambda c: c[::-1])
-            return NumberResult(k, Configuration(witness), checked)
+            witness = min(set().union(*failing))
+            counts = tuple(witness >> (w * i) & ((1 << w) - 1) for i in range(n))
+            return NumberResult(k, Configuration(counts), checked)
         failing = grown
         k += 1
 
 
 def _fails(
-    g: Graph, c: tuple[int, ...], want: tuple[int, ...], fail: set[tuple[int, ...]]
+    c: int, want: int, fail: set[int], moves: list[tuple[int, list[int]]],
+    guard: int, twos: int,
 ) -> bool:
     """Whether ``c`` fails ``want``, given every failure one pebble smaller.
 
     ``c`` fails exactly when it does not hold ``want`` and each of its
-    one-move successors is in ``fail``.
+    one-move successors is in ``fail``.  ``moves[u]`` holds ``u``'s guard
+    bit and the steps ``one[v] - 2 * one[u]`` of its moves; ``twos`` is 2
+    in every field.
     """
-    if all(x >= y for x, y in zip(c, want)):
+    high = c | guard
+    if (high - want) & guard == guard:
         return False
-    after = list(c)
-    for u, x in enumerate(c):
-        if x >= 2:
-            after[u] -= 2
-            for w in g.neighbors(u):
-                after[w] += 1
-                if tuple(after) not in fail:
+    two = (high - twos) & guard  # the guard bits of the fields holding 2 or more
+    for bit, steps in moves:
+        if two & bit:
+            for step in steps:
+                if c + step not in fail:
                     return False
-                after[w] -= 1
-            after[u] += 2
     return True
 
 

@@ -51,18 +51,20 @@ pendant tree.
 
 The root check runs once, on the folded core: the potential of each core
 vertex, from the one kernel :func:`pebbling.core.potentials` over the
-core's own diameter, and the pebble budget.  Only when it rejects is
-:func:`pebbling.core.gamma_witness` asked for the original graph's first
-negative potential, and that costs nothing in exactness, because folding
-never raises the potential at a vertex that stays.  A leaf with balance
-``b`` off ``a`` adds ``b * 2**-(dist(a, y) + 1)`` at ``y``; folded, it
-adds ``(b // 2) * 2**-dist(a, y)`` or ``2b * 2**-dist(a, y)``, no more
-either way.  And if the leaf's own potential ``b + Q / 2`` is negative,
-``Q`` the potential at ``a`` of every other vertex, then ``Q < -2b``, so
-``a`` is left negative: ``Q + b // 2 < -1.5b <= 0`` when ``b >= 0``, ``Q +
-2b < 0`` when not.  By induction over the peel, a negative potential
-anywhere leaves one on the folded core, so every witness is found by a
-check that rejects.
+core's own diameter, and the pebble budget.  Only when it rejects does the
+call name the original graph's first negative potential, as
+:func:`pebbling.core.gamma_witness` would: when nothing was peeled the core
+is the whole graph and its potentials are already those, and otherwise they
+are computed once more on the whole graph.  That costs nothing in
+exactness, because folding never raises the potential at a vertex that
+stays.  A leaf with balance ``b`` off ``a`` adds ``b * 2**-(dist(a, y) +
+1)`` at ``y``; folded, it adds ``(b // 2) * 2**-dist(a, y)`` or ``2b *
+2**-dist(a, y)``, no more either way.  And if the leaf's own potential ``b
++ Q / 2`` is negative, ``Q`` the potential at ``a`` of every other vertex,
+then ``Q < -2b``, so ``a`` is left negative: ``Q + b // 2 < -1.5b <= 0``
+when ``b >= 0``, ``Q + 2b < 0`` when not.  By induction over the peel, a
+negative potential anywhere leaves one on the folded core, so every witness
+is found by a check that rejects.
 
 The decision problem is NP-complete, so every search takes a node cap and
 raises :class:`BudgetExceeded` rather than ever guessing; "gave up" is
@@ -83,7 +85,6 @@ from .core import (
     PebblingError,
     _balances,
     _check_dims,
-    gamma_witness,
     potentials,
     verify_solution,
 )
@@ -236,7 +237,10 @@ def is_cover_solvable(
         pot = potentials(val, dist, diam)
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
-            return SolveResult(False, None, gamma_witness(g, c, d), 0, 0)
+            if peel:  # with nothing peeled, pot is already the whole graph's
+                pot = potentials(base, g._dist, g.diameter)
+            witness = next((v for v, x in enumerate(pot) if x < 0), None)
+            return SolveResult(False, None, witness, 0, 0)
         edges, edge_delta, into = _arcs(g, core, val, pot, dist, diam)
         # Deepen the move budget geometrically up to the pebble-loss bound;
         # the final level alone is exhaustive, so unsolvability costs one
@@ -486,11 +490,9 @@ def _search(
                 ndef += vw
             if nvw < 0:
                 ndef -= nvw
-            # two O(1) checks that prune nothing the potential below misses,
-            # but reject a child before its O(n) potential update and push
+            # an O(1) check that prunes nothing the potential below misses,
+            # but rejects a child before its O(n) potential update and push
             if ndef > r - q:
-                continue
-            if in_pending[u] == 0 and nvu < 0:
                 continue
             # exact potential: prune if it dips below zero anywhere
             negative = False

@@ -55,6 +55,12 @@ class TestInstanceParsing:
             parse_instance("edge a b\nvertices a b\n")
         assert err.value.line == 1
 
+    def test_demand_kind_before_vertices(self):
+        with pytest.raises(FormatError) as err:
+            parse_instance("demand_kind unit\nvertices a b\nedge a b\nconfig a 3\n")
+        assert err.value.line == 1
+        assert "vertices line must come first" in str(err.value)
+
     def test_disconnected_rejected(self):
         with pytest.raises(FormatError):
             parse_instance("vertices a b c\nedge a b\n")

@@ -58,7 +58,7 @@ class TestCoverPebblingNumber:
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ZeroDemand):
-            cover_pebbling_number(Graph.complete(2), Demand.zero(2))
+            cover_pebbling_number(Graph.complete(2), Demand((0, 0)))
 
     def test_rejects_demand_of_other_size(self):
         with pytest.raises(DimensionMismatch):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pebbling import (
+    BudgetExceeded,
     Configuration,
     Demand,
     Graph,
@@ -17,7 +19,6 @@ from pebbling import (
     gamma,
     gamma_witness,
     is_cover_solvable,
-    legal_moves,
     normalize_acyclic,
     oracle_solvable,
     pebbling_number,
@@ -26,8 +27,12 @@ from pebbling import (
 from pebbling import solver
 from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
+    compositions,
+    contains,
     core_dist,
     core_weight,
+    directed_edges,
+    legal_moves,
     reference_threshold,
     reference_uncoverable,
     root_potential,
@@ -114,18 +119,18 @@ def test_verify_iff_applied_configuration_contains_demand(case):
     if result.solvable:
         ml = result.certificate
         assert verify_solution(g, c, d, ml)
-        assert apply_moves(g, c, ml).contains(d)
+        assert contains(apply_moves(g, c, ml), d)
 
 
 @given(instances(), st.data())
 def test_verify_equals_contains_for_arbitrary_move_lists(case, data):
     g, c, d = case
-    pairs = g.directed_edges()
+    pairs = directed_edges(g)
     if not pairs:
         return
     picks = data.draw(st.lists(st.sampled_from(pairs), max_size=5))
     ml = MoveList([(u, w, 1) for u, w in picks])
-    assert verify_solution(g, c, d, ml) == apply_moves(g, c, ml).contains(d)
+    assert verify_solution(g, c, d, ml) == contains(apply_moves(g, c, ml), d)
 
 
 @given(instances(), st.integers(0, 2))
@@ -149,7 +154,7 @@ def test_verification_depends_only_on_surplus(case, shift):
 @given(instances(), st.data())
 def test_apply_moves_is_additive(case, data):
     g, c, d = case
-    pairs = g.directed_edges()
+    pairs = directed_edges(g)
     if not pairs:
         return
     def random_ml():
@@ -188,7 +193,7 @@ def test_normalize_acyclic_properties(case, data):
         return
     # perturb the certificate with a canceling pair to create cycles
     ml = result.certificate
-    pairs = g.directed_edges()
+    pairs = directed_edges(g)
     if pairs:
         u, w = data.draw(st.sampled_from(pairs))
         ml = MoveList([*ml.items(), (u, w, 1), (w, u, 1)])
@@ -196,7 +201,7 @@ def test_normalize_acyclic_properties(case, data):
         return
     out = normalize_acyclic(g, c, d, ml)
     assert verify_solution(g, c, d, out)
-    assert out.total_moves <= ml.total_moves
+    assert sum(q for _, _, q in out.items()) <= sum(q for _, _, q in ml.items())
     assert normalize_acyclic(g, c, d, out) == out
 
 
@@ -244,6 +249,39 @@ def test_frontier_sweep_matches_plain_enumeration(g, data):
         res.extremal_config.counts,
         res.configs_checked,
     ) == reference_threshold(g, [d])
+
+
+@given(connected_graphs(max_n=4), st.data())
+@settings(deadline=None)
+def test_packed_fields_match_plain_enumeration(g, data):
+    # the sweep packs a configuration into one int, in fields of
+    # max(config_cap, largest demand count).bit_length() + 2 bits.  With
+    # single counts up to 40 and caps next to a power of two, it gives plain
+    # enumeration's value, witness and count, or stops where the cap is
+    # passed: n charged per failing configuration of sizes 0 .. k - 1
+    # before size k is built
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    counts[data.draw(st.integers(0, g.n - 1))] = data.draw(st.integers(1, 40))
+    d = Demand(tuple(counts))
+    cap = (1 << data.draw(st.integers(0, 10))) + data.draw(st.integers(-1, 1))
+    failed, k = 1, 1  # the empty configuration fails
+    while g.n * failed <= cap:
+        fails = sum(
+            not is_cover_solvable(g, Configuration(c), d).solvable
+            for c in compositions(k, g.n)
+        )
+        if not fails:
+            res = cover_pebbling_number(g, d, config_cap=cap)
+            assert (
+                res.value,
+                res.extremal_config.counts,
+                res.configs_checked,
+            ) == reference_threshold(g, [d])
+            return
+        failed += fails
+        k += 1
+    with pytest.raises(BudgetExceeded):
+        cover_pebbling_number(g, d, config_cap=cap)
 
 
 @given(connected_graphs(max_n=4), st.data())
@@ -374,7 +412,7 @@ def test_tightest_deficit_branches_first(case):
     _, core = _peel(g)
     assert pot == root_potential(core_weight(g, core), val)
     pos = {v: i for i, v in enumerate(core)}
-    arcs = sorted((pos[u], pos[w]) for u, w in g.directed_edges() if u in pos and w in pos)
+    arcs = sorted((pos[u], pos[w]) for u, w in directed_edges(g) if u in pos and w in pos)
     first = sorted(
         (e for e in arcs if val[e[1]] < 0), key=lambda e: (pot[e[1]], e[1], e[0])
     )

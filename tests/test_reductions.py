@@ -229,7 +229,7 @@ class TestCollapseConsistency:
         for stack, expected in ((31, 3), (15, 1)):
             g = Graph.path(4)  # b - b' - b'' - b'''
             c = Configuration((0, 0, 0, stack))
-            d = Demand.zero(4)
+            d = Demand((0,) * 4)
             while g.n > 1:
                 g, c, d = collapse_leaf(g, c, d, g.n - 1)
             assert c.counts == (expected,)

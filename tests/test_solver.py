@@ -21,6 +21,7 @@ from universe import (
     collapse_leaf,
     core_dist,
     core_weight,
+    directed_edges,
     fold_to_one_vertex,
     reference_uncoverable,
     root_potential,
@@ -85,16 +86,16 @@ class TestIsCoverSolvable:
     def test_extended_input(self):
         # a signed configuration: the deficit can be repaid along the edge
         result = is_cover_solvable(
-            K2, Configuration((4, -1), extended=True), Demand.zero(2)
+            K2, Configuration((4, -1), extended=True), Demand((0, 0))
         )
         assert result.solvable
         assert verify_solution(
-            K2, Configuration((4, -1), extended=True), Demand.zero(2), result.certificate
+            K2, Configuration((4, -1), extended=True), Demand((0, 0)), result.certificate
         )
 
     def test_extended_unsolvable(self):
         result = is_cover_solvable(
-            K2, Configuration((1, -1), extended=True), Demand.zero(2)
+            K2, Configuration((1, -1), extended=True), Demand((0, 0))
         )
         assert not result.solvable
 
@@ -203,7 +204,7 @@ class TestNormalizeAcyclic:
 
 class TestCollapseLeaf:
     def test_surplus_halves_floored(self):
-        h, c, d = collapse_leaf(Graph.path(2), Configuration((0, 5)), Demand.zero(2), 1)
+        h, c, d = collapse_leaf(Graph.path(2), Configuration((0, 5)), Demand((0, 0)), 1)
         assert h.n == 1 and c.counts == (2,) and d.counts == (0,)
 
     def test_deficit_doubles(self):
@@ -306,7 +307,7 @@ def _brute_force_signed(g: Graph, c: Configuration, d: Demand) -> bool:
     budget = sum(base)
     if budget <= 0:
         return False
-    edges = g.directed_edges()
+    edges = directed_edges(g)
 
     def rec(idx: int, remaining: int, vals: list[int]) -> bool:
         if all(v >= 0 for v in vals):

@@ -23,6 +23,24 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def directed_edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Both orientations of every edge of ``g``, ascending by (from, to)."""
+    return tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)]))
+
+
+def legal_moves(g: Graph, c: Configuration) -> list[tuple[int, int]]:
+    """The moves open to ``c``: ordered adjacent pairs (u, w) with at
+    least two pebbles on u, ascending by (u, w)."""
+    if c.has_negative:
+        raise ValueError("legal_moves needs a non-negative configuration")
+    return [(u, w) for u in range(g.n) if c.counts[u] >= 2 for w in g.neighbors(u)]
+
+
+def contains(c: Configuration, d: Demand) -> bool:
+    """Whether ``c`` holds at least ``d``'s pebbles on every vertex."""
+    return all(a >= b for a, b in zip(c.counts, d.counts))
+
+
 def compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -173,6 +191,6 @@ def fold_to_one_vertex(g: Graph, c: Configuration, d: Demand) -> bool:
     sign of its balance.  Independent of the solver's own peel order.
     """
     while g.n > 1:
-        leaf = min(v for v in range(g.n) if g.degree(v) == 1)
+        leaf = min(v for v in range(g.n) if len(g.neighbors(v)) == 1)
         g, c, d = collapse_leaf(g, c, d, leaf)
     return c.counts[0] >= d.counts[0]
