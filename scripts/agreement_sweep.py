@@ -23,6 +23,7 @@ import argparse
 import random
 import sys
 import time
+from graphlib import CycleError, TopologicalSorter
 
 from pebbling import (
     Configuration,
@@ -30,7 +31,6 @@ from pebbling import (
     Graph,
     gamma_witness,
     is_cover_solvable,
-    normalize_acyclic,
     oracle_solvable,
     verify_solution,
 )
@@ -78,8 +78,16 @@ def main() -> int:
         if result.solvable:
             stats["solvable"] += 1
             cert = result.certificate
-            # normalize_acyclic returns an acyclic move list unchanged
-            if not verify_solution(g, c, d, cert) or normalize_acyclic(g, c, d, cert) != cert:
+            support = TopologicalSorter()
+            for u, w, _ in cert.items():
+                support.add(w, u)
+            try:
+                # raises CycleError exactly when the support has a cycle
+                support.prepare()
+            except CycleError:
+                print(f"CYCLIC CERTIFICATE at case {case}")
+                return 1
+            if not verify_solution(g, c, d, cert):
                 print(f"BAD CERTIFICATE at case {case}")
                 return 1
         else:
@@ -95,7 +103,7 @@ def main() -> int:
                 return 1
         if result.nodes_expanded:
             stats["searched"] += 1
-        if g.is_tree:
+        if len(g.edges) == g.n - 1:
             stats["trees"] += 1
             if result.nodes_expanded:
                 print(f"TREE SEARCHED at case {case}")

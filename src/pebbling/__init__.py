@@ -25,7 +25,6 @@ from .numbers import (
     ZeroDemand,
     cover_pebbling_number,
     pebbling_number,
-    reachability_number,
     stacking_lower_bound,
 )
 from .reductions import (
@@ -42,12 +41,10 @@ from .reductions import (
 )
 from .solver import (
     CanonicalResult,
-    NotASolution,
     SolveResult,
     is_canonical_solvable,
     is_cover_solvable,
     is_reachable,
-    normalize_acyclic,
     oracle_solvable,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "MalformedInstance",
     "MoveList",
     "NotACover",
-    "NotASolution",
     "NumberResult",
     "PebblingError",
     "ReducedInstance",
@@ -77,11 +73,9 @@ __all__ = [
     "is_canonical_solvable",
     "is_cover_solvable",
     "is_reachable",
-    "normalize_acyclic",
     "number_witness_config",
     "oracle_solvable",
     "pebbling_number",
-    "reachability_number",
     "reduce_cover_to_canonical",
     "reduce_to_cover_solvability",
     "reduce_to_number_threshold",

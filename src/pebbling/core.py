@@ -106,10 +106,6 @@ class Graph:
     def distance(self, u: int, v: int) -> int:
         return self._dist[u][v]
 
-    @property
-    def is_tree(self) -> bool:
-        return len(self.edges) == self.n - 1
-
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph on ``keep``, plus the old-index -> new-index map.
 
@@ -193,12 +189,6 @@ class Configuration:
     def has_negative(self) -> bool:
         return any(x < 0 for x in self.counts)
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, v: int) -> int:
-        return self.counts[v]
-
     @classmethod
     def zero(cls, n: int) -> "Configuration":
         return cls((0,) * n)
@@ -218,12 +208,6 @@ class Demand:
     @property
     def size(self) -> int:
         return sum(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, v: int) -> int:
-        return self.counts[v]
 
     @classmethod
     def unit(cls, n: int) -> "Demand":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Configuration, Demand, Graph, MoveList, PebblingError
-from .reductions import X4CInstance
+from .reductions import MalformedInstance, X4CInstance
 
 
 class FormatError(PebblingError):
@@ -250,12 +250,6 @@ def parse_x4c(text: str) -> X4CInstance:
         sets.append(frozenset(_int_field(lineno, t, "element") for t in tokens))
     try:
         return X4CInstance(n, tuple(sets))
-    except PebblingError as exc:
-        raise FormatError(lines[0][0], str(exc))
-
-
-def write_x4c(inst: X4CInstance) -> str:
-    lines = [f"{inst.n} {inst.m}"]
-    for s in inst.sets:
-        lines.append(" ".join(str(e) for e in sorted(s)))
-    return "\n".join(lines) + "\n"
+    except MalformedInstance as exc:
+        # lines[0] is the header, and set i is on lines[i]
+        raise FormatError(lines[exc.set_number][0], str(exc))

@@ -210,18 +210,6 @@ def cover_pebbling_number(
     )
 
 
-def reachability_number(
-    g: Graph,
-    target: int,
-    *,
-    config_cap: int = DEFAULT_CONFIG_CAP,
-) -> NumberResult:
-    """Cover pebbling number of the single-pebble demand on ``target``."""
-    return cover_pebbling_number(
-        g, Demand.reach(g.n, target), config_cap=config_cap
-    )
-
-
 def pebbling_number(
     g: Graph,
     *,

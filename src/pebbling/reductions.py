@@ -31,7 +31,15 @@ from .core import Configuration, Demand, Graph, MoveList, PebblingError, _check_
 
 
 class MalformedInstance(PebblingError):
-    """The exact-cover instance violates its shape constraints."""
+    """The exact-cover instance violates its shape constraints.
+
+    ``set_number`` is the 1-based offending set, or 0 when no one set is at
+    fault.
+    """
+
+    def __init__(self, message: str, set_number: int = 0):
+        super().__init__(message)
+        self.set_number = set_number
 
 
 class NotACover(PebblingError):
@@ -55,11 +63,11 @@ class X4CInstance:
             raise MalformedInstance(
                 f"need at least n={self.n} sets, got {len(self.sets)}"
             )
-        for i, s in enumerate(self.sets):
+        for i, s in enumerate(self.sets, start=1):
             if len(s) != 4:
-                raise MalformedInstance(f"set {i + 1} has {len(s)} elements, not 4")
+                raise MalformedInstance(f"set {i} has {len(s)} elements, not 4", i)
             if not all(1 <= e <= 4 * self.n for e in s):
-                raise MalformedInstance(f"set {i + 1} leaves the universe 1..{4 * self.n}")
+                raise MalformedInstance(f"set {i} leaves the universe 1..{4 * self.n}", i)
 
     @property
     def m(self) -> int:
@@ -96,9 +104,6 @@ class ReducedInstance:
             raise ValueError("names and roles must cover every vertex exactly once")
         if len(set(self.vertex_names)) != self.graph.n:
             raise ValueError("vertex names must be unique")
-
-    def index_of(self, name: str) -> int:
-        return self.vertex_names.index(name)
 
 
 def x4c_solve(inst: X4CInstance) -> list[int] | None:

@@ -82,19 +82,13 @@ from .core import (
     Demand,
     Graph,
     MoveList,
-    PebblingError,
     _balances,
     _check_dims,
     potentials,
-    verify_solution,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_STATE_CAP = 1_000_000
-
-
-class NotASolution(PebblingError):
-    """The given move list does not solve the instance."""
 
 
 @dataclass(frozen=True)
@@ -490,8 +484,9 @@ def _search(
                 ndef += vw
             if nvw < 0:
                 ndef -= nvw
-            # an O(1) check that prunes nothing the potential below misses,
-            # but rejects a child before its O(n) potential update and push
+            # a separate, budget-based prune: the deficits left must fit in
+            # the moves left, which the potential below never sees; being
+            # O(1), it runs before the O(n) potential update and push
             if ndef > r - q:
                 continue
             # exact potential: prune if it dips below zero anywhere
@@ -513,62 +508,6 @@ def _search(
             p += 1
             r -= q
             break
-
-
-def _support_cycle(succ: dict[int, list[int]]) -> list[int] | None:
-    """Some directed cycle of the support digraph, as a vertex list.
-
-    Depth-first on an explicit stack, so a support path of any length stays
-    clear of the interpreter's recursion limit.
-    """
-    color: dict[int, int] = {}  # 1 while on the current path, then 2
-    for root in succ:
-        if root in color:
-            continue
-        color[root] = 1
-        path = [root]
-        pending = [iter(succ[root])]  # the unexplored successors along path
-        while pending:
-            for y in pending[-1]:
-                state = color.get(y, 0)
-                if state == 1:
-                    return path[path.index(y):]
-                if state == 0:
-                    color[y] = 1
-                    path.append(y)
-                    pending.append(iter(succ.get(y, ())))
-                    break
-            else:
-                color[path.pop()] = 2
-                pending.pop()
-    return None
-
-
-def normalize_acyclic(
-    g: Graph, c: Configuration, d: Demand, ml: MoveList
-) -> MoveList:
-    """Cancel directed cycles out of a verifying move list.
-
-    Subtracting one move around a directed cycle only raises the per-vertex
-    tallies, so the result still verifies; repeating until no cycle remains
-    yields an acyclic support without ever increasing the total move count.
-    """
-    if not verify_solution(g, c, d, ml):
-        raise NotASolution("move list does not solve the instance")
-    counts = {(u, w): q for u, w, q in ml.items()}
-    while True:
-        succ: dict[int, list[int]] = {}
-        for (u, w), q in counts.items():
-            if q > 0:
-                succ.setdefault(u, []).append(w)
-        cycle = _support_cycle(succ)
-        if cycle is None:
-            break
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        drop = min(counts[p] for p in pairs)
-        for p in pairs:
-            counts[p] -= drop
-    return MoveList(counts)
 
 
 def is_reachable(

@@ -33,6 +33,7 @@ from pebbling import (
     x4c_solve,
 )
 from universe import (
+    acyclic,
     compositions,
     connected_graphs,
     random_spread,
@@ -52,25 +53,6 @@ def _verdict(number: int, detail: str, started: float) -> None:
     print(f"criterion {number}: PASS ({detail}) [{time.time() - started:.1f}s]")
 
 
-def _support_acyclic(ml: MoveList) -> bool:
-    succ: dict[int, list[int]] = {}
-    for u, w, _ in ml.items():
-        succ.setdefault(u, []).append(w)
-    color: dict[int, int] = {}
-
-    def dfs(x: int) -> bool:
-        color[x] = 1
-        for y in succ.get(x, ()):
-            if color.get(y, 0) == 1:
-                return False
-            if color.get(y, 0) == 0 and not dfs(y):
-                return False
-        color[x] = 2
-        return True
-
-    return all(dfs(x) for x in list(succ) if color.get(x, 0) == 0)
-
-
 def test_criterion_1_solver_matches_oracle_exhaustively():
     started = time.time()
     checked = 0
@@ -80,7 +62,7 @@ def test_criterion_1_solver_matches_oracle_exhaustively():
         assert result.witness == gamma_witness(g, c, d), (g, c, d)
         if result.solvable:
             assert verify_solution(g, c, d, result.certificate), (g, c, d)
-            assert _support_acyclic(result.certificate), (g, c, d)
+            assert acyclic(result.certificate), (g, c, d)
         checked += 1
     _verdict(1, f"{checked} instances, zero disagreements", started)
 
@@ -119,7 +101,7 @@ def test_criterion_3_tree_solver_matches_oracle():
         assert result.nodes_expanded == 0, (g, c, d)
         if result.solvable:
             assert verify_solution(g, c, d, result.certificate), (g, c, d)
-            assert _support_acyclic(result.certificate), (g, c, d)
+            assert acyclic(result.certificate), (g, c, d)
     _verdict(3, "500 random trees, zero disagreements", started)
 
 

@@ -43,7 +43,6 @@ class TestGraph:
         p4 = Graph.path(4)
         assert p4.distance(0, 3) == 3
         assert p4.diameter == 3
-        assert p4.is_tree
 
     def test_induced_subgraph(self):
         h, remap = Graph.path(4).induced_subgraph([0, 1, 2])

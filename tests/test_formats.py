@@ -10,7 +10,6 @@ from pebbling.formats import (
     parse_x4c,
     write_certificate,
     write_instance,
-    write_x4c,
 )
 
 P3_TEXT = """\
@@ -145,14 +144,19 @@ class TestX4CFormat:
         inst = X4CInstance(
             2, (frozenset({1, 2, 3, 4}), frozenset({3, 4, 5, 6}), frozenset({5, 6, 7, 8}))
         )
-        text = write_x4c(inst)
-        assert text.splitlines()[0] == "2 3"
-        assert parse_x4c(text) == inst
+        assert parse_x4c("2 3\n1 2 3 4\n3 4 5 6\n5 6 7 8\n") == inst
 
     def test_wrong_set_count(self):
         with pytest.raises(FormatError):
             parse_x4c("1 2\n1 2 3 4\n")
 
     def test_invalid_instance_reported(self):
-        with pytest.raises(FormatError):
-            parse_x4c("1 1\n1 2 3 9\n")
+        # a set's fault names the set's own line, past any comment line
+        for text, line in [
+            ("1 1\n1 2 3 9\n", 2),
+            ("2 2\n1 2 3 4\n5 6 7 9\n", 3),
+            ("2 2\n1 2 3 4\n# the duplicate\n5 5 6 7\n", 4),
+        ]:
+            with pytest.raises(FormatError) as err:
+                parse_x4c(text)
+            assert err.value.line == line, text

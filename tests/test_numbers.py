@@ -15,7 +15,6 @@ from pebbling import (
     cover_pebbling_number,
     is_cover_solvable,
     pebbling_number,
-    reachability_number,
     stacking_lower_bound,
 )
 from universe import compositions, connected_graphs, reference_threshold
@@ -115,7 +114,7 @@ class TestThresholdSweep:
     def test_pebbling_number_is_max_reachability_number(self):
         for g in (*self.GRAPHS, Graph.path(2), Graph.path(4), Graph.cycle(5)):
             assert pebbling_number(g).value == max(
-                reachability_number(g, v).value for v in range(g.n)
+                cover_pebbling_number(g, Demand.reach(g.n, v)).value for v in range(g.n)
             )
 
 
@@ -236,15 +235,15 @@ class TestConfigCap:
 
 class TestReachabilityNumber:
     def test_k2(self):
-        res = reachability_number(Graph.complete(2), 1)
+        res = cover_pebbling_number(Graph.complete(2), Demand.reach(2, 1))
         assert res.value == 2 and res.extremal_config.counts == (1, 0)
 
     def test_p3_far_end(self):
-        res = reachability_number(Graph.path(3), 2)
+        res = cover_pebbling_number(Graph.path(3), Demand.reach(3, 2))
         assert res.value == 4 and res.extremal_config.counts == (3, 0, 0)
 
     def test_single_vertex(self):
-        assert reachability_number(Graph(1), 0).value == 1
+        assert cover_pebbling_number(Graph(1), Demand.reach(1, 0)).value == 1
 
 
 class TestPebblingNumber:

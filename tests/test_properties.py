@@ -19,7 +19,6 @@ from pebbling import (
     gamma,
     gamma_witness,
     is_cover_solvable,
-    normalize_acyclic,
     oracle_solvable,
     pebbling_number,
     verify_solution,
@@ -27,6 +26,7 @@ from pebbling import (
 from pebbling import solver
 from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
+    acyclic,
     compositions,
     contains,
     core_dist,
@@ -185,35 +185,13 @@ def test_solve_with_built_plan_matches_fresh_graph(case, data):
     assert is_cover_solvable(g, c, d) == is_cover_solvable(Graph(g.n, g.edges), c, d)
 
 
-@given(instances(), st.data())
-def test_normalize_acyclic_properties(case, data):
-    g, c, d = case
-    result = is_cover_solvable(g, c, d)
-    if not result.solvable:
-        return
-    # perturb the certificate with a canceling pair to create cycles
-    ml = result.certificate
-    pairs = directed_edges(g)
-    if pairs:
-        u, w = data.draw(st.sampled_from(pairs))
-        ml = MoveList([*ml.items(), (u, w, 1), (w, u, 1)])
-    if not verify_solution(g, c, d, ml):
-        return
-    out = normalize_acyclic(g, c, d, ml)
-    assert verify_solution(g, c, d, out)
-    assert sum(q for _, _, q in out.items()) <= sum(q for _, _, q in ml.items())
-    assert normalize_acyclic(g, c, d, out) == out
-
-
 def lifted_certificate_holds(g, c, d, result) -> bool:
     """The verdict is the oracle's, and a certificate solves the original
-    instance with an acyclic support (normalize_acyclic keeps it as is)."""
+    instance with an acyclic support."""
     if result.solvable != oracle_solvable(g, c, d):
         return False
     ml = result.certificate
-    return not result.solvable or (
-        verify_solution(g, c, d, ml) and normalize_acyclic(g, c, d, ml) == ml
-    )
+    return not result.solvable or (verify_solution(g, c, d, ml) and acyclic(ml))
 
 
 @given(trees())

@@ -74,7 +74,7 @@ class TestCoverReduction:
     def test_figure_shape(self):
         red = reduce_to_cover_solvability(FIG1)
         assert red.graph.n == 19 == 3 * 2 + 4 * 3 + 1
-        assert red.config.counts[red.index_of("v")] == 2
+        assert red.config.counts[red.vertex_names.index("v")] == 2
         assert red.demand == Demand.unit(19)
 
     def test_rejects_element_in_no_set(self):
@@ -106,10 +106,10 @@ class TestCoverReduction:
         # the connector path vanishes and the collector keeps 2 pebbles
         assert "w" not in red.vertex_names
         assert red.graph.n == 4 * 2 + 3 * 2 + 1
-        assert red.config.counts[red.index_of("v")] == 2
+        assert red.config.counts[red.vertex_names.index("v")] == 2
         cover = x4c_solve(inst)
         cert = cover_certificate_from_exact_cover(inst, cover)
-        v = red.index_of("v")
+        v = red.vertex_names.index("v")
         assert all(v not in (a, b) for a, b, _ in cert.items())
         assert verify_solution(red.graph, red.config, red.demand, cert)
         assert is_cover_solvable(red.graph, red.config, red.demand).solvable
@@ -187,7 +187,7 @@ class TestNumberWitness:
     def test_figure_witness_values(self):
         wit = number_witness_config(FIG1, [0, 2])
         red = reduce_to_number_threshold(FIG1)
-        stacks = [wit.counts[red.index_of(f"b{i}'''")] for i in (1, 2, 3)]
+        stacks = [wit.counts[red.vertex_names.index(f"b{i}'''")] for i in (1, 2, 3)]
         assert stacks == [31, 15, 31]
         assert wit.size == 77
 

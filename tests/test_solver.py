@@ -8,16 +8,15 @@ from pebbling import (
     Demand,
     Graph,
     MoveList,
-    NotASolution,
     is_canonical_solvable,
     is_cover_solvable,
     is_reachable,
-    normalize_acyclic,
     oracle_solvable,
     verify_solution,
 )
 from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
+    acyclic,
     collapse_leaf,
     core_dist,
     core_weight,
@@ -29,25 +28,6 @@ from universe import (
 
 K2 = Graph.complete(2)
 P3 = Graph.path(3)
-
-
-def support_is_acyclic(ml: MoveList) -> bool:
-    succ: dict[int, list[int]] = {}
-    for u, w, _ in ml.items():
-        succ.setdefault(u, []).append(w)
-    color: dict[int, int] = {}
-
-    def dfs(x: int) -> bool:
-        color[x] = 1
-        for y in succ.get(x, ()):
-            if color.get(y, 0) == 1:
-                return False
-            if color.get(y, 0) == 0 and not dfs(y):
-                return False
-        color[x] = 2
-        return True
-
-    return all(dfs(x) for x in list(succ) if color.get(x, 0) == 0)
 
 
 class TestOracle:
@@ -163,43 +143,14 @@ class TestIsCoverSolvable:
             result = is_cover_solvable(g, Configuration(counts), Demand.unit(4))
             if result.solvable:
                 assert verify_solution(g, Configuration(counts), Demand.unit(4), result.certificate)
-                assert support_is_acyclic(result.certificate)
+                assert acyclic(result.certificate)
 
 
-class TestNormalizeAcyclic:
-    def test_not_a_solution(self):
-        with pytest.raises(NotASolution):
-            normalize_acyclic(
-                K2, Configuration((1, 1)), Demand.unit(2), MoveList({(0, 1): 1, (1, 0): 1})
-            )
-
-    def test_two_cycle_cancels_to_empty(self):
-        out = normalize_acyclic(
-            K2, Configuration((3, 3)), Demand.unit(2), MoveList({(0, 1): 1, (1, 0): 1})
-        )
-        assert out == MoveList()
-
-    def test_acyclic_input_is_fixpoint(self):
-        ml = MoveList({(0, 1): 3, (1, 2): 1})
-        assert normalize_acyclic(P3, Configuration((7, 0, 0)), Demand.unit(3), ml) == ml
-
-    def test_longer_cycle(self):
-        g = Graph.cycle(3)
-        c = Configuration((3, 3, 3))
-        ml = MoveList({(0, 1): 1, (1, 2): 1, (2, 0): 1})
-        assert verify_solution(g, c, Demand.unit(3), ml)
-        out = normalize_acyclic(g, c, Demand.unit(3), ml)
-        assert out == MoveList()
-        assert verify_solution(g, c, Demand.unit(3), out)
-
-    def test_long_support_path(self):
-        # one move along every edge of a 1200-vertex path: the cycle search
-        # used to recurse once per vertex and raise RecursionError
-        n = 1200
-        g = Graph.path(n)
-        c = Configuration((2,) + (1,) * (n - 1))
-        ml = MoveList([(i, i + 1, 1) for i in range(n - 1)])
-        assert normalize_acyclic(g, c, Demand((0,) * n), ml) == ml
+def test_acyclic_rejects_cycles_and_accepts_a_long_path():
+    assert not acyclic(MoveList({(0, 1): 1, (1, 0): 1}))
+    assert not acyclic(MoveList({(0, 1): 1, (1, 2): 1, (2, 0): 1}))
+    # a support path of 1,200 vertices stays clear of the recursion limit
+    assert acyclic(MoveList([(i, i + 1, 1) for i in range(1199)]))
 
 
 class TestCollapseLeaf:
@@ -264,7 +215,7 @@ class TestPendantFold:
         assert result.solvable
         assert result.certificate == MoveList({(0, 2): 4, (2, 3): 2, (3, 4): 1})
         assert verify_solution(g, c, d, result.certificate)
-        assert support_is_acyclic(result.certificate)
+        assert acyclic(result.certificate)
 
     def test_lift_sends_only_what_the_neighbour_lacks(self):
         # the fold passes 10 pebbles' worth along each surplus edge; the
@@ -366,4 +317,4 @@ class TestCrossValidation:
             assert result.solvable == fold_to_one_vertex(g, c, d)
             if result.solvable:
                 assert verify_solution(g, c, d, result.certificate)
-                assert support_is_acyclic(result.certificate)
+                assert acyclic(result.certificate)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 
-from pebbling import Configuration, Demand, Graph, is_cover_solvable
+from pebbling import Configuration, Demand, Graph, MoveList, is_cover_solvable
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +40,19 @@ def legal_moves(g: Graph, c: Configuration) -> list[tuple[int, int]]:
 def contains(c: Configuration, d: Demand) -> bool:
     """Whether ``c`` holds at least ``d``'s pebbles on every vertex."""
     return all(a >= b for a, b in zip(c.counts, d.counts))
+
+
+def acyclic(ml: MoveList) -> bool:
+    """Whether the support of ``ml``, the pairs it moves along, has no
+    directed cycle."""
+    support = TopologicalSorter()
+    for u, w, _ in ml.items():
+        support.add(w, u)
+    try:
+        support.prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def compositions(total: int, parts: int):
