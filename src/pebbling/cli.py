@@ -292,6 +292,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
     else:
         instance = _load_instance(args)
+        # the construction encodes unit-cover solvability and no other demand
+        if instance.demand.counts != (1,) * instance.graph.n:
+            raise PebblingError("cover-to-canonical needs the unit demand")
         red = reduce_cover_to_canonical(instance.graph, instance.config)
     out = reduced_to_instance(red)
     text = write_instance(out)

@@ -391,14 +391,15 @@ def _search(
     The tables are those of :func:`_arcs`.  The stack holds one frame per
     open edge position, so when every deficit is met the counts of a
     solution are read off it, one per position up to the current one (the
-    rest are zero).  ``val`` (balances) and ``pot`` (potential numerators)
-    are updated in place and restored on the way back.  Returns those
-    counts or None, with the running node count and deepest move total.
+    rest are zero).  Only ``val`` (balances) and the support are updated in
+    place and restored on the way back; each child's potential numerators
+    are a new list, and its frame keeps the parent's, so ``pot`` is never
+    written.  Returns those counts or None, with the running node count and
+    deepest move total.
     """
-    n = len(val)
-    rng_n = range(n)
-    in_pending = [len(arcs) for arcs in into]
-    succ: list[set[int]] = [set() for _ in rng_n]
+    # last[x]: the position of the last arc into x, or -1 when there is none
+    last = [arcs[-1][1] if arcs else -1 for arcs in into]
+    succ: list[set[int]] = [set() for _ in val]
     def_sum = sum(-x for x in val if x < 0)
     val_sum = sum(val) - level  # sum(val) is val_sum + r: each move nets -1
     stack: list[tuple] = []
@@ -423,12 +424,11 @@ def _search(
             pos_sum = val_sum + r + def_sum
             if not _uncoverable(into, val, succ, p, def_sum, pos_sum):
                 u, w = edges[p]
-                in_pending[w] -= 1
                 vu = val[u]
                 vw = val[w]
                 # q is capped by u's worst-case balance: out-moves cost 2
                 # apiece and at most r - q future moves can feed u back.
-                if in_pending[u] > 0:
+                if last[u] > p:
                     q_max = (vu + r) // 3
                 else:
                     q_max = vu // 2
@@ -437,10 +437,8 @@ def _search(
                 if q_max > 0 and _reaches(succ, w, u):
                     q_max = 0  # a positive count here would close a cycle
                 # w with no later in-edges must be lifted to balance by this edge
-                q_min = -vw if in_pending[w] == 0 and vw < 0 else 0
-                if q_max < q_min:
-                    in_pending[w] += 1
-                else:
+                q_min = -vw if last[w] == p and vw < 0 else 0
+                if q_max >= q_min:
                     delta = edge_delta[p]
                     q = q_max + 1
                     backtrack = False
@@ -451,25 +449,22 @@ def _search(
             if backtrack:
                 if not stack:
                     return None, nodes, max_depth
-                p, r, u, w, vu, vw, q, q_min, delta, old_def = stack.pop()
+                p, r, u, w, vu, vw, q, q_min, delta, old_def, pot = stack.pop()
                 if q:
                     succ[u].discard(w)
                     val[u] = vu
                     val[w] = vw
                     def_sum = old_def
-                    for z in rng_n:
-                        pot[z] -= q * delta[z]
                 backtrack = False
             q -= 1
             if q < q_min:
-                in_pending[w] += 1
                 backtrack = True
                 continue
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
             if q == 0:
-                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum))
+                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum, pot))
                 p += 1
                 break
             nvu = vu - 2 * q
@@ -486,24 +481,18 @@ def _search(
                 ndef -= nvw
             # a separate, budget-based prune: the deficits left must fit in
             # the moves left, which the potential below never sees; being
-            # O(1), it runs before the O(n) potential update and push
+            # O(1), it runs before the O(n) potential and push
             if ndef > r - q:
                 continue
             # exact potential: prune if it dips below zero anywhere
-            negative = False
-            for z in rng_n:
-                t = pot[z] + q * delta[z]
-                pot[z] = t
-                if t < 0:
-                    negative = True
-            if negative:
-                for z in rng_n:
-                    pot[z] -= q * delta[z]
+            child = [a + q * b for a, b in zip(pot, delta)]
+            if min(child) < 0:
                 continue
             val[u] = nvu
             val[w] = nvw
             succ[u].add(w)  # each arc has one position, so it is new here
-            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum))
+            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum, pot))
+            pot = child
             def_sum = ndef
             p += 1
             r -= q

@@ -208,6 +208,13 @@ class TestReduce:
         inst = parse_instance(capsys.readouterr().out)
         assert inst.graph.n == 9
         assert inst.demand_kind == "reach:w2"
+        # the construction encodes unit cover only: this reach demand is
+        # solvable, yet its reduced instance would not be
+        path.write_text("vertices a b\nedge a b\nconfig a 2\ndemand_kind reach:b\n")
+        assert main(["solve", "--instance", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", "cover-to-canonical", "--instance", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: cover-to-canonical needs the unit demand\n")
 
     def test_reduced_solve_pipeline(self, tmp_path, capsys):
         x4c = tmp_path / "f.x4c"

@@ -378,15 +378,16 @@ def test_tightest_deficit_branches_first(case):
     search = solver._search
 
     def recording(edges, edge_delta, into, val, pot, *rest):
-        if not seen:  # the search mutates val and pot; copy the first call's
-            seen.append((edges, val[:], pot[:]))
+        # the search mutates val, so copy it; pot it must leave as it was
+        seen.append((edges, val[:], pot, pot[:]))
         return search(edges, edge_delta, into, val, pot, *rest)
 
     with patch.object(solver, "_search", recording):
         result = is_cover_solvable(g, c, d)
     assert lifted_certificate_holds(g, c, d, result)
+    assert all(pot == kept for _, _, pot, kept in seen)
     assume(seen and sum(x < 0 for x in seen[0][1]) >= 2)
-    edges, val, pot = seen[0]
+    edges, val, pot, _ = seen[0]
     _, core = _peel(g)
     assert pot == root_potential(core_weight(g, core), val)
     pos = {v: i for i, v in enumerate(core)}
