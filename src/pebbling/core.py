@@ -19,20 +19,23 @@ The potential of a vertex ``v``,
 
 never increases under a pebbling move, so a negative potential anywhere
 certifies that no sequence of moves can meet the demand.  One kernel,
-:func:`potentials`, computes it: integer numerators over ``2**diam`` for
-the rows of a distance table whose entries are at most ``diam``.
-:func:`gamma` turns one numerator into a :class:`fractions.Fraction`,
-:func:`gamma_witness` names the first negative one, and the solver runs the
-same kernel on its folded core.  Floating point is never used because the
+:func:`potentials`, computes it: integer numerators over ``2**diam``, one
+dot product per row of a weight table, ``2**(diam - dist)`` per vertex
+pair, that :func:`weights` builds from a distance table whose entries are
+at most ``diam``.  :func:`gamma` turns one numerator into a
+:class:`fractions.Fraction`, :func:`gamma_witness` names the first negative
+one, and the solver builds one table per call on its folded core, for the
+root check and for every move's change (the weight row of its head minus
+twice that of its tail).  Floating point is never used because the
 hardness constructions distinguish values that differ by less than machine
 epsilon.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -57,9 +60,10 @@ class Graph:
 
     Vertices are identified by index; external names are resolved to indices
     at the I/O boundary.  All-pairs distances and the diameter are computed
-    once by BFS at construction, so distance queries are table lookups.
-    Instances are immutable after construction, hold no cache, and are safe
-    to share across threads.
+    once at construction, by one level-by-level BFS per vertex over the
+    adjacency lists, which come out ascending because the edges are sorted;
+    distance queries are table lookups.  Instances are immutable after
+    construction, hold no cache, and are safe to share across threads.
     """
 
     __slots__ = ("n", "edges", "diameter", "_adj", "_dist")
@@ -73,29 +77,36 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            undirected.add((min(u, v), max(u, v)))
+            undirected.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(undirected))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in self.edges:  # sorted edges leave each list ascending
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._dist = tuple(self._bfs(v) for v in range(n))
-        self.diameter = max(max(row) for row in self._dist)
+        self._adj = tuple(map(tuple, adj))
+        self._dist = tuple(map(self._bfs, range(n)))
+        if -1 in self._dist[0]:
+            raise ValueError("graph is not connected")
+        self.diameter = max(map(max, self._dist))
 
     def _bfs(self, source: int) -> tuple[int, ...]:
+        """Distances from ``source``, one BFS level at a time; -1 where
+        unreachable."""
+        adj = self._adj
         dist = [-1] * self.n
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if any(x < 0 for x in dist):
-            raise ValueError("graph is not connected")
+        layer = [source]
+        d = 0
+        while layer:
+            d += 1
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        nxt.append(w)
+            layer = nxt
         return tuple(dist)
 
     # -- queries ----------------------------------------------------------
@@ -320,14 +331,23 @@ def apply_moves(g: Graph, c: Configuration, ml: MoveList) -> Configuration:
     )
 
 
-def potentials(base: Sequence[int], dist: Iterable[Sequence[int]], diam: int) -> list[int]:
-    """Potential numerators over ``2**diam``, one per row of ``dist``.
+def weights(dist: Iterable[Sequence[int]], diam: int) -> list[list[int]]:
+    """The potential weights ``2**(diam - d)`` of a distance table.
 
-    Row ``z`` holds the distances to ``z``, each at most ``diam``; its entry
-    is ``sum(base[x] << (diam - dist[z][x]))``, the potential of ``z`` under
-    the balances ``base`` (pebbles minus demand) times ``2**diam``.
+    Row ``z`` of ``dist`` holds the distances to ``z``, each at most
+    ``diam``; row ``z`` of the result weighs each vertex's balance in the
+    potential of ``z``, times ``2**diam``.
     """
-    return [sum([x << (diam - k) for x, k in zip(base, row)]) for row in dist]
+    return [[1 << (diam - k) for k in row] for row in dist]
+
+
+def potentials(base: Sequence[int], weight: Iterable[Sequence[int]]) -> list[int]:
+    """Potential numerators, one per row of ``weight`` (see :func:`weights`).
+
+    Entry ``z`` is ``sum(base[x] * weight[z][x])``, the potential of ``z``
+    under the balances ``base`` (pebbles minus demand) times ``2**diam``.
+    """
+    return [sum(map(mul, base, row)) for row in weight]
 
 
 def _balances(g: Graph, c: Configuration, d: Demand) -> list[int]:
@@ -340,7 +360,7 @@ def gamma(g: Graph, c: Configuration, d: Demand, v: int) -> Fraction:
     base = _balances(g, c, d)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    (num,) = potentials(base, [g._dist[v]], g.diameter)
+    (num,) = potentials(base, weights([g._dist[v]], g.diameter))
     return Fraction(num, 1 << g.diameter)
 
 
@@ -349,5 +369,5 @@ def gamma_witness(g: Graph, c: Configuration, d: Demand) -> int | None:
 
     A hit proves the pair (c, d) unsolvable; no hit proves nothing.
     """
-    pot = potentials(_balances(g, c, d), g._dist, g.diameter)
+    pot = potentials(_balances(g, c, d), weights(g._dist, g.diameter))
     return next((v for v, x in enumerate(pot) if x < 0), None)

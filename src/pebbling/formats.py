@@ -55,13 +55,8 @@ class Instance:
 
 
 def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((i, line.split()))
-    return out
+    lines = enumerate(map(str.split, text.splitlines()), start=1)
+    return [(i, tokens) for i, tokens in lines if tokens and not tokens[0].startswith("#")]
 
 
 def _int_field(lineno: int, token: str, what: str) -> int:
@@ -81,50 +76,52 @@ def parse_instance(text: str) -> Instance:
     first_line = kind_line = 1
 
     def need_vertex(lineno: int, name: str) -> int:
-        if name not in index:
+        v = index.get(name)
+        if v is None:
             raise FormatError(lineno, f"undeclared vertex {name!r}")
-        return index[name]
+        return v
 
     for lineno, tokens in _tokenized_lines(text):
-        key, rest = tokens[0], tokens[1:]
+        key = tokens[0]
         if names is None and key != "vertices":
             raise FormatError(lineno, "vertices line must come first")
-        if key == "vertices":
-            if names is not None:
-                raise FormatError(lineno, "duplicate vertices line")
-            if not rest:
-                raise FormatError(lineno, "vertices line names no vertices")
-            if len(set(rest)) != len(rest):
-                raise FormatError(lineno, "vertex names must be unique")
-            names = rest
-            index = {name: i for i, name in enumerate(names)}
-            first_line = lineno
-        elif key == "edge":
-            if len(rest) != 2:
+        if key == "edge":  # most lines, so tested first
+            if len(tokens) != 3:
                 raise FormatError(lineno, "edge line needs exactly two names")
-            u, v = (need_vertex(lineno, nm) for nm in rest)
+            u = need_vertex(lineno, tokens[1])
+            v = need_vertex(lineno, tokens[2])
             if u == v:
                 raise FormatError(lineno, "self-loops are not allowed")
             edges.append((u, v))
+        elif key == "vertices":
+            if names is not None:
+                raise FormatError(lineno, "duplicate vertices line")
+            names = tokens[1:]
+            if not names:
+                raise FormatError(lineno, "vertices line names no vertices")
+            if len(set(names)) != len(names):
+                raise FormatError(lineno, "vertex names must be unique")
+            index = {name: i for i, name in enumerate(names)}
+            first_line = lineno
         elif key == "config":
-            if len(rest) != 2:
+            if len(tokens) != 3:
                 raise FormatError(lineno, "config line needs a name and a count")
-            v = need_vertex(lineno, rest[0])
+            v = need_vertex(lineno, tokens[1])
             if v in config:
-                raise FormatError(lineno, f"duplicate config entry for {rest[0]!r}")
-            count = _int_field(lineno, rest[1], "pebble count")
+                raise FormatError(lineno, f"duplicate config entry for {tokens[1]!r}")
+            count = _int_field(lineno, tokens[2], "pebble count")
             if count < 0:
                 raise FormatError(lineno, "pebble counts are non-negative")
             config[v] = count
         elif key == "demand":
             if demand_kind is not None:
                 raise FormatError(lineno, "demand lines conflict with demand_kind")
-            if len(rest) != 2:
+            if len(tokens) != 3:
                 raise FormatError(lineno, "demand line needs a name and a count")
-            v = need_vertex(lineno, rest[0])
+            v = need_vertex(lineno, tokens[1])
             if v in demand:
-                raise FormatError(lineno, f"duplicate demand entry for {rest[0]!r}")
-            count = _int_field(lineno, rest[1], "demand count")
+                raise FormatError(lineno, f"duplicate demand entry for {tokens[1]!r}")
+            count = _int_field(lineno, tokens[2], "demand count")
             if count < 0:
                 raise FormatError(lineno, "demands are non-negative")
             demand[v] = count
@@ -133,9 +130,9 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(lineno, "demand_kind conflicts with demand lines")
             if demand_kind is not None:
                 raise FormatError(lineno, "duplicate demand_kind line")
-            if len(rest) != 1:
+            if len(tokens) != 2:
                 raise FormatError(lineno, "demand_kind line needs one value")
-            demand_kind = rest[0]
+            demand_kind = tokens[1]
             kind_line = lineno
         else:
             raise FormatError(lineno, f"unknown field {key!r}")

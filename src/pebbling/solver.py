@@ -7,27 +7,34 @@ Two independent engines answer the same question:
   at small scale and the reference the move-list solver is tested against.
 
 * :func:`is_cover_solvable` searches directly over move lists.  Each call
-  that gets past the root checks builds its own arcs and tables, already
-  in its branching order, in O(arcs * n); nothing is kept on the graph.
-  The search runs on an explicit stack, one frame per edge position, so it
-  never touches the interpreter's recursion limit.  The move budget is
-  iteratively deepened (doubling) up to ``|C| - |D|``, past which no list
-  can work: each move loses one pebble net, so longer lists cannot end
-  above the demand.  Per-directed-edge counts are branched deficit first:
-  the arcs into every vertex short of pebbles, grouped by head in order of
-  its root potential margin, the tightest first, then by tail, and then
-  the rest in ascending (from, to) order, so the deficit nearest to
-  failing is forced first (a deficit with no in-arcs left must be lifted
-  at once).  Higher counts are tried first, restricted to
-  cycle-free supports; partial assignments are pruned as soon as the
-  outstanding per-vertex deficits exceed the remaining budget, a vertex
-  with no incoming edges left cannot reach its demand, the exact potential
-  goes negative anywhere, or a deficit has a negative potential over the
+  that gets past the root checks builds its own tables: one weight table
+  over the core, ``2**(diam - dist)`` per vertex pair in O(n**2), which
+  serves the root potentials and every move's change to them, and the arcs
+  with their in-arcs, already in its branching order, in O(arcs); nothing
+  is kept on the graph.  The search runs on an explicit stack, one frame
+  per edge position, so it never touches the interpreter's recursion
+  limit.  The move budget is iteratively deepened (doubling) up to
+  ``|C| - |D|``, past which no list can work: each move loses one pebble
+  net, so longer lists cannot end above the demand.  Each move lifts the
+  deficit by at most one, so the deepening starts at the first doubling
+  that reaches the folded deficit; the levels below it would close at the
+  root with no node.  Per-directed-edge counts are branched deficit
+  first: the arcs into every vertex short of pebbles, grouped by head in
+  order of its root potential margin, the tightest first, then by tail,
+  and then the rest in ascending (from, to) order, so the deficit nearest
+  to failing is forced first (a deficit with no in-arcs left must be
+  lifted at once).
+  Higher counts are tried first, restricted to cycle-free supports;
+  partial assignments are pruned as soon as the outstanding per-vertex
+  deficits exceed the remaining budget, a vertex with no incoming edges
+  left cannot reach its demand, the exact potential goes negative
+  anywhere, or a deficit has a negative potential over the
   still-assignable arcs that close no 2-cycle.  That last check walks back
   from each deficit a layer at a time and stops once its sign is settled:
-  after depth ``d`` each vertex not yet summed weighs at most ``2**(n - d -
-  1)``, so the deficit and surplus not yet summed bound the rest of the
-  sum, and the early verdict is the one the full walk would give.
+  after depth ``d`` each vertex not yet summed weighs at most
+  ``2**(n - d - 1)``, so the deficit and surplus not yet summed bound the
+  rest of the sum, and the early verdict is the one the full walk would
+  give.
 
 Pendant trees are folded away before the search, so it only ever runs on
 the 2-core, the subgraph left once degree-1 vertices are peeled off
@@ -51,7 +58,7 @@ pendant tree.
 
 The root check runs once, on the folded core: the potential of each core
 vertex, from the one kernel :func:`pebbling.core.potentials` over the
-core's own diameter, and the pebble budget.  Only when it rejects does the
+call's weight table, and the pebble budget.  Only when it rejects does the
 call name the original graph's first negative potential, as
 :func:`pebbling.core.gamma_witness` would: when nothing was peeled the core
 is the whole graph and its potentials are already those, and otherwise they
@@ -85,6 +92,7 @@ from .core import (
     _balances,
     _check_dims,
     potentials,
+    weights,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -225,26 +233,29 @@ def is_cover_solvable(
     if min(val) < 0:
         # the root checks on the folded core: a negative potential, or too
         # few pebbles, as each move nets -1.  A rejection names the original
-        # graph's first negative potential, if any (see the module docstring)
-        dist = [[g._dist[z][x] for x in core] for z in core]
-        diam = max(map(max, dist))
-        pot = potentials(val, dist, diam)
+        # graph's first negative potential, if any (see the module docstring).
+        # One weight table serves this check and every search node
+        dist = [[g._dist[z][x] for x in core] for z in core] if peel else g._dist
+        weight = weights(dist, max(map(max, dist)))
+        pot = potentials(val, weight)
         budget = sum(val)
         if min(pot) < 0 or budget <= 0:
             if peel:  # with nothing peeled, pot is already the whole graph's
-                pot = potentials(base, g._dist, g.diameter)
+                pot = potentials(base, weights(g._dist, g.diameter))
             witness = next((v for v, x in enumerate(pot) if x < 0), None)
             return SolveResult(False, None, witness, 0, 0)
-        edges, edge_delta, into = _arcs(g, core, val, pot, dist, diam)
+        edges, into = _arcs(g, core, val, pot)
         # Deepen the move budget geometrically up to the pebble-loss bound;
         # the final level alone is exhaustive, so unsolvability costs one
         # bounded pass while solvable instances exit at a level near their
-        # minimum.
-        level = 1
+        # minimum.  Each move lifts the deficit by at most one, so a level
+        # below the folded deficit would close at the root: the deepening
+        # starts at the first doubling that reaches it.
+        level = 1 << (sum(-x for x in val if x < 0) - 1).bit_length()
         while True:
             level = min(level, budget)
             solution, nodes, max_depth = _search(
-                edges, edge_delta, into, val, pot, level, node_cap, nodes, max_depth
+                edges, weight, into, val, pot, level, node_cap, nodes, max_depth
             )
             if solution is not None:
                 break
@@ -276,33 +287,26 @@ def is_cover_solvable(
 
 
 def _arcs(
-    g: Graph, core: list[int], val: list[int], pot: list[int],
-    dist: list[list[int]], diam: int,
-) -> tuple[list[tuple[int, int]], list[list[int]], list[list[tuple[int, int]]]]:
-    """The core's arcs in this call's branching order, with their tables.
+    g: Graph, core: list[int], val: list[int], pot: list[int]
+) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """The core's arcs in this call's branching order, with their in-arcs.
 
     Arcs join core positions.  The arcs into each vertex short of pebbles
     come first, grouped by head in ascending ``(pot[head], head)`` and by
     tail within a head, so the q_min rule forces the deficit with the least
     root potential margin first (fail-first); the rest follow in ascending
-    (from, to) order.  ``edge_delta[p][z]`` is the change of ``z``'s
-    potential numerator over ``2**diam`` by one move on ``edges[p]``, read
-    off the core's distance rows ``dist``, and ``into[a]`` holds ``(u, p)``
-    per arc ``edges[p] = (u, a)``, by ``p``.
+    (from, to) order.  ``into[a]`` holds ``(u, p)`` per arc ``edges[p] =
+    (u, a)``, by ``p``.
     """
     pos = {v: i for i, v in enumerate(core)}
     nbrs = [[pos[x] for x in g._adj[v] if x in pos] for v in core]
     heads = sorted((pot[a], a) for a, x in enumerate(val) if x < 0)
     edges = [(u, a) for _, a in heads for u in nbrs[a]]
     edges += [(u, w) for u, out in enumerate(nbrs) for w in out if val[w] >= 0]
-    edge_delta = [
-        [(1 << (diam - dw)) - (2 << (diam - du)) for dw, du in zip(dist[w], dist[u])]
-        for u, w in edges
-    ]
     into: list[list[tuple[int, int]]] = [[] for _ in core]
     for p, (u, w) in enumerate(edges):
         into[w].append((u, p))
-    return edges, edge_delta, into
+    return edges, into
 
 
 def _reaches(succ: list[set[int]], a: int, b: int) -> bool:
@@ -377,7 +381,7 @@ def _uncoverable(
 
 def _search(
     edges: list[tuple[int, int]],
-    edge_delta: list[list[int]],
+    weight: list[list[int]],
     into: list[list[tuple[int, int]]],
     val: list[int],
     pot: list[int],
@@ -388,7 +392,10 @@ def _search(
 ) -> tuple[list[int] | None, int, int]:
     """One depth-first pass over move lists of at most ``level`` moves.
 
-    The tables are those of :func:`_arcs`.  The stack holds one frame per
+    ``edges`` and ``into`` are those of :func:`_arcs`, and ``weight`` is
+    the call's weight table, the one :func:`pebbling.core.potentials` read
+    for ``pot``: ``q`` moves on ``(u, w)`` add ``q * (weight[w][z] - 2 *
+    weight[u][z])`` to ``z``'s numerator.  The stack holds one frame per
     open edge position, so when every deficit is met the counts of a
     solution are read off it, one per position up to the current one (the
     rest are zero).  Only ``val`` (balances) and the support are updated in
@@ -439,7 +446,6 @@ def _search(
                 # w with no later in-edges must be lifted to balance by this edge
                 q_min = -vw if last[w] == p and vw < 0 else 0
                 if q_max >= q_min:
-                    delta = edge_delta[p]
                     q = q_max + 1
                     backtrack = False
 
@@ -449,7 +455,7 @@ def _search(
             if backtrack:
                 if not stack:
                     return None, nodes, max_depth
-                p, r, u, w, vu, vw, q, q_min, delta, old_def, pot = stack.pop()
+                p, r, u, w, vu, vw, q, q_min, old_def, pot = stack.pop()
                 if q:
                     succ[u].discard(w)
                     val[u] = vu
@@ -464,7 +470,7 @@ def _search(
             if nodes > node_cap:
                 raise BudgetExceeded(f"solver exceeded node cap {node_cap}")
             if q == 0:
-                stack.append((p, r, u, w, vu, vw, 0, q_min, delta, def_sum, pot))
+                stack.append((p, r, u, w, vu, vw, 0, q_min, def_sum, pot))
                 p += 1
                 break
             nvu = vu - 2 * q
@@ -485,13 +491,13 @@ def _search(
             if ndef > r - q:
                 continue
             # exact potential: prune if it dips below zero anywhere
-            child = [a + q * b for a, b in zip(pot, delta)]
+            child = [a + q * (b - 2 * c) for a, b, c in zip(pot, weight[w], weight[u])]
             if min(child) < 0:
                 continue
             val[u] = nvu
             val[w] = nvw
             succ[u].add(w)  # each arc has one position, so it is new here
-            stack.append((p, r, u, w, vu, vw, q, q_min, delta, def_sum, pot))
+            stack.append((p, r, u, w, vu, vw, q, q_min, def_sum, pot))
             pot = child
             def_sum = ndef
             p += 1

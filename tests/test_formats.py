@@ -89,6 +89,30 @@ class TestInstanceParsing:
             parse_instance(P3_TEXT.replace("demand_kind unit", "demand_kind bogus"))
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "edge_lines, line, message",
+        [
+            ("edge x v2\n", 2, "undeclared vertex 'x'"),
+            ("edge v1 x\n", 2, "undeclared vertex 'x'"),
+            ("edge x y\n", 2, "undeclared vertex 'x'"),  # the first name first
+            ("edge v1\n", 2, "edge line needs exactly two names"),
+            ("edge v1 v2 v3\n", 2, "edge line needs exactly two names"),
+            ("edge v2 v2\n", 2, "self-loops are not allowed"),
+            # comment and blank lines are counted
+            ("# a comment\n\n  # indented\nedge v1 v2\nedge v2 zz\n", 6,
+             "undeclared vertex 'zz'"),
+        ],
+    )
+    def test_edge_line_errors(self, edge_lines, line, message):
+        with pytest.raises(FormatError) as err:
+            parse_instance("vertices v1 v2 v3\n" + edge_lines)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_repeated_edge_line_gives_one_edge(self):
+        inst = parse_instance(P3_TEXT + "edge v1 v2\n\tedge  v2 v1 \n")
+        assert inst.graph.edges == ((0, 1), (1, 2))
+
 
 class TestInstanceWriting:
     def test_round_trip_identical(self):

@@ -29,9 +29,9 @@ from universe import (
     acyclic,
     compositions,
     contains,
-    core_dist,
     core_weight,
     directed_edges,
+    floyd_warshall,
     legal_moves,
     reference_threshold,
     reference_uncoverable,
@@ -101,6 +101,25 @@ def cyclic_instances(draw, max_n: int = 7, max_pebbles: int = 14):
     for _ in range(draw(st.integers(6, max_pebbles))):
         counts[draw(st.sampled_from(others))] += 1
     return Graph(n, edges), Configuration(tuple(counts)), Demand(tuple(demand))
+
+
+@given(connected_graphs(max_n=9))
+def test_distances_match_floyd_warshall(g):
+    # the level-by-level BFS against a reference that shares none of it;
+    # the adjacency lists come out ascending without a sort
+    ref = floyd_warshall(g.n, g.edges)
+    assert [[g.distance(u, v) for v in range(g.n)] for u in range(g.n)] == ref
+    assert g.diameter == max(map(max, ref))
+    for v in range(g.n):
+        assert list(g.neighbors(v)) == sorted({*g.neighbors(v)})
+
+
+@given(connected_graphs(max_n=9), st.sampled_from(("first", "middle", "last")))
+def test_a_vertex_cut_off_disconnects(g, which):
+    assume(g.n >= 2)
+    v = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[which]
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        Graph(g.n, [e for e in g.edges if v not in e])
 
 
 @given(instances())
@@ -349,11 +368,11 @@ def test_uncoverable_matches_the_full_walk(g, rng):
     # half the graphs drawn fold to one vertex, hence 200 graphs.
     _, core = _peel(g)
     m = len(core)
-    weight, dist = core_weight(g, core), core_dist(g, core)
+    weight = core_weight(g, core)
     for _ in range(200):
         spread = rng.choice((2, 4, 8))
         base = [rng.randint(-spread, spread) for _ in range(m)]
-        edges, _, into = _arcs(g, core, base, root_potential(weight, base), *dist)
+        edges, into = _arcs(g, core, base, root_potential(weight, base))
         val = [rng.randint(-spread, spread) for _ in range(m)]
         p = rng.randint(0, len(edges))
         succ = [set() for _ in range(m)]
@@ -377,19 +396,21 @@ def test_tightest_deficit_branches_first(case):
     seen = []
     search = solver._search
 
-    def recording(edges, edge_delta, into, val, pot, *rest):
+    def recording(edges, weight, into, val, pot, *rest):
         # the search mutates val, so copy it; pot it must leave as it was
-        seen.append((edges, val[:], pot, pot[:]))
-        return search(edges, edge_delta, into, val, pot, *rest)
+        seen.append((edges, val[:], pot, pot[:], weight))
+        return search(edges, weight, into, val, pot, *rest)
 
     with patch.object(solver, "_search", recording):
         result = is_cover_solvable(g, c, d)
     assert lifted_certificate_holds(g, c, d, result)
-    assert all(pot == kept for _, _, pot, kept in seen)
-    assume(seen and sum(x < 0 for x in seen[0][1]) >= 2)
-    edges, val, pot, _ = seen[0]
+    assert all(pot == kept for _, _, pot, kept, _ in seen)
     _, core = _peel(g)
-    assert pot == root_potential(core_weight(g, core), val)
+    # one weight table per call, over the core's own diameter
+    assert all(weight == core_weight(g, core) for *_, weight in seen)
+    assume(seen and sum(x < 0 for x in seen[0][1]) >= 2)
+    edges, val, pot, _, weight = seen[0]
+    assert pot == root_potential(weight, val)
     pos = {v: i for i, v in enumerate(core)}
     arcs = sorted((pos[u], pos[w]) for u, w in directed_edges(g) if u in pos and w in pos)
     first = sorted(

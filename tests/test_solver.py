@@ -1,4 +1,5 @@
 import sys
+from unittest.mock import patch
 
 import pytest
 
@@ -14,6 +15,8 @@ from pebbling import (
     oracle_solvable,
     verify_solution,
 )
+from pebbling import solver
+from pebbling.core import potentials, weights
 from pebbling.solver import _arcs, _peel, _uncoverable
 from universe import (
     acyclic,
@@ -112,14 +115,54 @@ class TestIsCoverSolvable:
         val = [-1, 3, -2, 0]
         pot = root_potential(weight, val)
         assert pot[0] == 0 and pot[2] == -3
-        edges, edge_delta, into = _arcs(g, core, val, pot, *core_dist(g, core))
+        edges, into = _arcs(g, core, val, pot)
         assert edges == [
             (1, 2), (3, 2), (1, 0), (3, 0), (0, 1), (0, 3), (2, 1), (2, 3)
         ]
-        for (u, w), row in zip(edges, edge_delta):
-            assert row == [weight[w][z] - 2 * weight[u][z] for z in range(4)]
+        # the one weight table serves the root potentials and every move's:
+        # a move on (u, w) changes them by weight row w minus twice row u
+        assert weights(*core_dist(g, core)) == weight
+        assert potentials(val, weight) == pot
+        for u, w in edges:
+            moved = val[:]
+            moved[u] -= 2
+            moved[w] += 1
+            assert root_potential(weight, moved) == [
+                a + b - 2 * c for a, b, c in zip(pot, weight[w], weight[u])
+            ]
         assert into == [[(1, 2), (3, 3)], [(0, 4), (2, 6)],
                         [(1, 0), (3, 1)], [(0, 5), (2, 7)]]
+
+    def test_levels_below_the_deficit_are_skipped(self):
+        # each move lifts the folded deficit by at most one, so a level below
+        # it closes at the root with no node: the deepening starts at the
+        # first doubling that reaches it, or at the budget when that is
+        # smaller (K_4 owes 3 with one move to spare).  Node counts and
+        # depths are those of the schedule that ran every level from 1
+        cases = [
+            (Graph.cycle(6), (21, 0, 0, 0, 0, 0), (1,) * 6, [8, 15], 41, 12),
+            (Graph.complete(4), (4, 0, 0, 0), (0, 1, 1, 1), [1], 0, 0),
+            (Graph.cycle(5), (9, 0, 0, 3, 0), (1,) * 5, [4], 8, 3),
+            (Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5)]),
+             (14, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), [8], 18, 7),
+            # a deficit of exactly 4 starts at 4, not 8
+            (Graph(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]),
+             (4, 5, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1), [4], 11, 3),
+        ]
+        search = solver._search
+        for g, counts, demand, want, nodes, depth in cases:
+            levels = []
+
+            def recording(edges, weight, into, val, pot, level, *rest):
+                deficit, budget = -sum(x for x in val if x < 0), sum(val)
+                assert level >= deficit or level == budget
+                levels.append(level)
+                return search(edges, weight, into, val, pot, level, *rest)
+
+            with patch.object(solver, "_search", recording):
+                result = is_cover_solvable(g, Configuration(counts), Demand(demand))
+            assert levels == want
+            assert (result.nodes_expanded, result.max_depth) == (nodes, depth)
 
     def test_uncoverable_waits_for_deficits_one_layer_deeper(self):
         # centre 0 holds 7 pebbles for 2, 3, 4 owing 1, 3 and 2.  The walk
@@ -132,7 +175,7 @@ class TestIsCoverSolvable:
         assert peel == [] and core == [0, 1, 2, 3, 4]
         weight = core_weight(g, core)
         val = [7, 0, -1, -3, -2]
-        into = _arcs(g, core, val, root_potential(weight, val), *core_dist(g, core))[2]
+        into = _arcs(g, core, val, root_potential(weight, val))[1]
         succ = [set() for _ in val]
         assert reference_uncoverable(into, val, succ, 0)
         assert _uncoverable(into, val, succ, 0, 6, 7)
@@ -200,7 +243,7 @@ class TestPendantFold:
         assert core == [0, 1, 2]
         weight = core_weight(g, core)
         val = [0, 0, 0]
-        edges = _arcs(g, core, val, root_potential(weight, val), *core_dist(g, core))[0]
+        edges = _arcs(g, core, val, root_potential(weight, val))[0]
         assert edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert _peel(Graph.star(3))[1] == [0]
 

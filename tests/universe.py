@@ -24,6 +24,21 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def floyd_warshall(n: int, edges) -> list[list[int | None]]:
+    """All-pairs shortest path lengths by Floyd-Warshall, None between
+    vertices no path joins: a reference for ``Graph``'s distances."""
+    inf = float("inf")
+    dist = [[0 if u == v else inf for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return [[None if d == inf else d for d in row] for row in dist]
+
+
 def directed_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """Both orientations of every edge of ``g``, ascending by (from, to)."""
     return tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)]))
