@@ -117,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first token
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 

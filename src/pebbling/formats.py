@@ -17,7 +17,8 @@ field order, so equal instances serialize to identical bytes.
 
 Certificates are ``move <from> <to> <count>`` lines, one per directed pair.
 Exact-cover instances are ``n m`` on the first line followed by m lines of
-four elements each.
+four elements each.  Every count and number is written in ASCII digits,
+with an optional leading ``-``.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def _int_field(lineno: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
+    # an optional "-" and ASCII digits only: int() would also take "+4",
+    # "1_0" and non-ASCII digits such as "\u0664"
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
         raise FormatError(lineno, f"{what} must be an integer, got {token!r}")
+    return int(token)
 
 
 def parse_instance(text: str) -> Instance:

@@ -11,15 +11,16 @@ the previous size is guaranteed to hold an extremal (failing) witness.
 
 The sweep walks the failure frontier instead of enumerating every
 configuration.  For each demand it keeps the configurations of the previous
-size that fail it, starting from the empty configuration.  A configuration
-of the next size can fail only if every one-pebble removal of it fails too
-(otherwise it contains a solvable configuration, and solvability is upward
-closed), so only the one-pebble extensions of failures all of whose
-down-neighbours fail are built and decided; every other configuration of
-that size is solvable by dominance and is never built.  The reported
-extremal configuration is the colex-least failure at size value - 1, over
-the failing sets of every demand, and ``configs_checked`` counts every
-configuration of sizes 1 .. value, all of them settled, built or not.
+size that fail it, starting from the empty configuration.  Each
+configuration c of the next size is built at most once, as f + e_i from f =
+c - e_top, top being c's last non-empty vertex: only the extensions of a
+failure f at vertices top(f) and up are built.  That loses no failure,
+because failing sets are closed downwards (a configuration that contains a
+solvable one is solvable): when c fails, so does f.  Every configuration of
+that size not built has a solvable f, so it is solvable by dominance.  The
+reported extremal configuration is the colex-least failure at size value -
+1, over the failing sets of every demand, and ``configs_checked`` counts
+every configuration of sizes 1 .. value, all of them settled, built or not.
 
 Each built configuration is decided by one move, with no search.  A
 configuration c solves a demand d exactly when c >= d or some one-move
@@ -41,10 +42,10 @@ adds ``1 << (w * i)``, and a move from ``u`` to ``v`` adds ``one[v] - 2 *
 one[u]``.  With every guard bit set, subtracting a packed vector borrows
 within each field and never across one, and the guard of field ``i``
 survives exactly when the count there is at least the subtrahend's: that
-tests ``c >= d``, counts the non-zero fields and finds those holding two
-pebbles or more.  The last vertex is the most significant field, so
-packed ints compare as their reversed count tuples: integer order is colex
-order, and the colex-least witness is the least int.
+tests ``c >= d`` and finds the fields holding two pebbles or more.  The
+last vertex is the most significant field, so packed ints compare as their
+reversed count tuples: integer order is colex order, and the colex-least
+witness is the least int.
 
 :func:`stacking_lower_bound` is a proven lower bound on the cover pebbling
 number, not a starting point: a sweep from it would have no failing set of
@@ -57,7 +58,6 @@ a few dozen.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -114,23 +114,24 @@ def _threshold(
     """Least k such that every size-k configuration solves every demand.
 
     Keeps, per demand, the configurations of the previous size that fail
-    it, packed as in the module docstring.  A size-k configuration is a
-    candidate for a demand only when every one-pebble removal of it is in
-    that failing set: its extensions are counted, and a count equal to its
-    number of non-zero fields means no solvable configuration lies below
-    it.  :func:`_fails` decides each candidate from the same failing set.
+    it, packed as in the module docstring.  Each failure ``f`` is extended
+    by one pebble at every field from its top non-empty one up, so a size-k
+    configuration is built at most once, from the one with a pebble fewer
+    at its own top field, and it fails exactly when it does not hold the
+    demand and each of its one-move successors is in that failing set.
     ``configs_checked`` counts all configurations of sizes 1 .. k;
-    ``config_cap`` bounds the ones built, ``n`` extensions per failing
-    configuration, charged before they are.  ``unit_bound`` is a proven
-    ceiling on the value; passing it means a bug in the sweep, not a larger
-    answer.
+    ``config_cap`` bounds the ones built: ``n`` per failing configuration
+    is charged before a size is built, an upper bound on what that size
+    builds.  ``unit_bound`` is a proven ceiling on the value; passing it
+    means a bug in the sweep, not a larger answer.
     """
     n = g.n
     w = max(config_cap, *(max(d.counts) for d in demands)).bit_length() + 2
     one = [1 << (w * i) for i in range(n)]
     ones = sum(one)
     guard = ones << (w - 1)
-    twos = 2 * ones
+    twos = 2 * ones  # 2 in every field
+    # per vertex u: u's guard bit and the steps one[v] - 2 * one[u] of its moves
     moves = [
         (b << (w - 1), [one[v] - 2 * b for v in g.neighbors(u)]) for u, b in enumerate(one)
     ]
@@ -149,42 +150,33 @@ def _threshold(
             built += n * len(fail)
             if built > config_cap:
                 raise BudgetExceeded(f"sweep builds more than {config_cap} configurations")
-            below = Counter(f + b for f in fail for b in one)
-            grown.append({
-                c
-                for c, hits in below.items()
-                if hits == (((c | guard) - ones) & guard).bit_count()
-                and _fails(c, want, fail, moves, guard, twos)
-            })
+            grew: set[int] = set()
+            for f in fail:
+                # fields from f's top one up; the guard bit is never set, so
+                # f.bit_length() // w is that field, and 0 for f == 0
+                for b in one[f.bit_length() // w:]:
+                    c = f + b
+                    high = c | guard
+                    if (high - want) & guard == guard:
+                        continue
+                    two = (high - twos) & guard  # guard bits of the fields holding 2+
+                    for bit, steps in moves:
+                        if two & bit:
+                            for step in steps:
+                                if c + step not in fail:
+                                    break
+                            else:
+                                continue
+                            break
+                    else:
+                        grew.add(c)
+            grown.append(grew)
         if not any(grown):
             witness = min(set().union(*failing))
             counts = tuple(witness >> (w * i) & ((1 << w) - 1) for i in range(n))
             return NumberResult(k, Configuration(counts), checked)
         failing = grown
         k += 1
-
-
-def _fails(
-    c: int, want: int, fail: set[int], moves: list[tuple[int, list[int]]],
-    guard: int, twos: int,
-) -> bool:
-    """Whether ``c`` fails ``want``, given every failure one pebble smaller.
-
-    ``c`` fails exactly when it does not hold ``want`` and each of its
-    one-move successors is in ``fail``.  ``moves[u]`` holds ``u``'s guard
-    bit and the steps ``one[v] - 2 * one[u]`` of its moves; ``twos`` is 2
-    in every field.
-    """
-    high = c | guard
-    if (high - want) & guard == guard:
-        return False
-    two = (high - twos) & guard  # the guard bits of the fields holding 2 or more
-    for bit, steps in moves:
-        if two & bit:
-            for step in steps:
-                if c + step not in fail:
-                    return False
-    return True
 
 
 def cover_pebbling_number(

@@ -312,6 +312,32 @@ class TestUsageErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file
+    without it, for each kind of input file."""
+
+    def test_instance(self, tmp_path, capsys):
+        path = tmp_path / "p3.txt"
+        path.write_text("\ufeff" + P3, encoding="utf-8")
+        assert main(["solve", "--instance", str(path)]) == 0
+        assert capsys.readouterr() == ("move v1 v2 3\nmove v2 v3 1\n", "solve: solvable\n")
+
+    def test_x4c(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.x4c", tmp_path / "marked.x4c"
+        plain.write_text(FIG1_X4C, encoding="utf-8")
+        marked.write_text("\ufeff" + FIG1_X4C, encoding="utf-8")
+        assert main(["reduce", "x4c-cover", "--x4c", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["reduce", "x4c-cover", "--x4c", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_certificate(self, p3_file, tmp_path, capsys):
+        cert = tmp_path / "cert.txt"
+        cert.write_text("\ufeffmove v1 v2 3\nmove v2 v3 1\n", encoding="utf-8")
+        assert main(["verify", "--instance", p3_file, "--certificate", str(cert)]) == 0
+        assert capsys.readouterr().err == "verify: verified\n"
+
+
 # tokens a mutation may put into an input file or onto the command line;
 # counts stay small so that every number sweep ends quickly
 TOKENS = (

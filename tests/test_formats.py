@@ -78,6 +78,38 @@ class TestInstanceParsing:
             parse_instance(P3_TEXT.replace("demand_kind unit", "config v2 -1"))
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "token", ["1_0", "+4", "\u0664", "\uff14", "-", "--1", "-+1", "4.0", "0x4"]
+    )
+    def test_integer_fields_take_ascii_digits_only(self, token):
+        # int() alone would read "1_0" as 10, and "+4" and Arabic-Indic "٤"
+        # as 4; each is refused at its own line, in every integer field
+        cases = [
+            (parse_instance, P3_TEXT.replace("config v1 7", f"config v1 {token}"), 4,
+             "pebble count"),
+            (parse_instance, P3_TEXT.replace("demand_kind unit", f"demand v2 {token}"), 5,
+             "demand count"),
+            (parse_certificate, f"move a b 1\nmove b c {token}\n", 2, "move count"),
+            (parse_x4c, f"1 {token}\n1 2 3 4\n", 1, "m"),
+            (parse_x4c, f"1 1\n1 2 {token} 4\n", 2, "element"),
+        ]
+        for parse, text, line, what in cases:
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert str(err.value) == f"line {line}: {what} must be an integer, got {token!r}"
+
+    def test_negative_counts_keep_their_messages(self):
+        for parse, text, message in [
+            (parse_instance, P3_TEXT.replace("config v1 7", "config v1 -7"),
+             "line 4: pebble counts are non-negative"),
+            (parse_instance, P3_TEXT.replace("demand_kind unit", "demand v2 -2"),
+             "line 5: demands are non-negative"),
+            (parse_certificate, "move a b -1\n", "line 1: move counts are at least 1"),
+        ]:
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert str(err.value) == message
+
     def test_unknown_reach_target_names_demand_kind_line(self):
         text = P3_TEXT.replace("demand_kind unit", "config v2 1\ndemand_kind reach:zz")
         with pytest.raises(FormatError) as err:

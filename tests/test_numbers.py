@@ -4,6 +4,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebbling import (
     BudgetExceeded,
@@ -172,6 +174,20 @@ class TestFrontierAgreement:
             for d in demands:
                 self.same(g, [d], cover_pebbling_number(g, d))
             self.same(g, [Demand.reach(5, v) for v in range(5)], pebbling_number(g))
+
+    @given(
+        st.sampled_from((*connected_graphs(1), *connected_graphs(2), *connected_graphs(3))),
+        st.data(),
+    )
+    @settings(deadline=None)
+    def test_random_demands_on_small_graphs(self, g, data):
+        # each configuration is built once, from the one with a pebble fewer
+        # on its last non-empty vertex; demands of 0-2 pebbles per vertex
+        d = Demand(tuple(
+            data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n).filter(any))
+        ))
+        self.same(g, [d], cover_pebbling_number(g, d))
+        self.same(g, [Demand.reach(g.n, v) for v in range(g.n)], pebbling_number(g))
 
     def test_number_table_is_unchanged(self, monkeypatch, capsys):
         spec = importlib.util.spec_from_file_location("number_table", NUMBER_TABLE)
